@@ -233,7 +233,8 @@ type Options struct {
 	// adaptation).
 	Detector Detector
 	// SampleSize is the initial random document sample used to train the
-	// first model (default 500, or 10% of the collection if smaller).
+	// first model (default 500, or 10% of the collection if smaller). A
+	// negative size is an error.
 	SampleSize int
 	// MaxDocs stops after processing this many ranked documents
 	// (0 = whole collection).
@@ -337,6 +338,9 @@ func RunContext(ctx context.Context, coll *Collection, ex Extractor, opts Option
 	}
 	if opts.Seed == 0 {
 		opts.Seed = 1
+	}
+	if opts.SampleSize < 0 {
+		return nil, fmt.Errorf("adaptiverank: negative sample size %d", opts.SampleSize)
 	}
 	if opts.SampleSize == 0 {
 		opts.SampleSize = 500

@@ -93,6 +93,9 @@ func TestRunValidation(t *testing.T) {
 	if _, err := adaptiverank.Run(coll, ex, adaptiverank.Options{Detector: 99}); err == nil {
 		t.Error("unknown detector must fail")
 	}
+	if _, err := adaptiverank.Run(coll, ex, adaptiverank.Options{SampleSize: -5}); err == nil {
+		t.Error("negative sample size must fail")
+	}
 	if _, err := adaptiverank.GenerateCorpus(1, 0); err == nil {
 		t.Error("zero-size corpus must fail")
 	}

@@ -2,9 +2,9 @@ package adaptiverank_test
 
 // Scoring hot-path benchmarks: the per-strategy trajectory committed in
 // BENCH_scoring.json and gated by cmd/benchgate in CI. Each strategy is
-// measured three ways — the map-based reference Score, the packed
-// single-document fast path, and the batch fast path — so the trajectory
-// shows both the absolute cost and the speedup structure. The baseline
+// measured two ways — the single-document Score and the batch fast path,
+// both through the weight vector's one margin kernel — so the trajectory
+// shows both the per-call and the amortized cost. The baseline
 // file also carries the end-to-end pipeline benchmarks (see
 // bench_pipeline_test.go); regenerate it intentionally with
 //
@@ -55,12 +55,12 @@ func trainedBAgg(docs []vector.Sparse) *ranking.BAggIE {
 // its steady-state allocation budget from MemStats deltas around the
 // timed loop, recording the four gated metrics: ns/score, docs/sec,
 // allocs/op, and B/op. fn runs once before measurement so one-time costs
-// (building the dense weight mirrors) are excluded — the recorded budget
-// is the steady state the zero-alloc contract pins.
+// are excluded — the recorded budget is the steady state the zero-alloc
+// contract pins.
 func benchScoring(b *testing.B, docsPerOp int, fn func()) {
 	b.Helper()
 	recordBench(b)
-	fn() // warm: dense mirrors build on the first score after training
+	fn() // warm
 	runtime.GC()
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
@@ -86,23 +86,16 @@ func benchScoring(b *testing.B, docsPerOp int, fn func()) {
 	}
 }
 
-func BenchmarkScoringRSVMIEMap(b *testing.B) {
+// The *Packed benchmarks time single-document Score, which runs the
+// margin kernel on the zero-copy packed view of its argument. They keep
+// their names because BENCH_scoring.json's gated entries are keyed by
+// them.
+func BenchmarkScoringRSVMIEPacked(b *testing.B) {
 	docs := benchDocs(scoringBatch)
 	rk := trainedRSVM(docs)
 	i := 0
 	benchScoring(b, 1, func() {
 		rk.Score(docs[i%len(docs)])
-		i++
-	})
-}
-
-func BenchmarkScoringRSVMIEPacked(b *testing.B) {
-	docs := benchDocs(scoringBatch)
-	rk := trainedRSVM(docs)
-	xs := packedDocs(docs)
-	i := 0
-	benchScoring(b, 1, func() {
-		rk.ScorePacked(xs[i%len(xs)])
 		i++
 	})
 }
@@ -115,23 +108,12 @@ func BenchmarkScoringRSVMIEBatch(b *testing.B) {
 	benchScoring(b, len(xs), func() { rk.ScoreBatch(xs, out) })
 }
 
-func BenchmarkScoringBAggIEMap(b *testing.B) {
+func BenchmarkScoringBAggIEPacked(b *testing.B) {
 	docs := benchDocs(scoringBatch)
 	rk := trainedBAgg(docs)
 	i := 0
 	benchScoring(b, 1, func() {
 		rk.Score(docs[i%len(docs)])
-		i++
-	})
-}
-
-func BenchmarkScoringBAggIEPacked(b *testing.B) {
-	docs := benchDocs(scoringBatch)
-	rk := trainedBAgg(docs)
-	xs := packedDocs(docs)
-	i := 0
-	benchScoring(b, 1, func() {
-		rk.ScorePacked(xs[i%len(xs)])
 		i++
 	})
 }

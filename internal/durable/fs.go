@@ -89,8 +89,8 @@ func (osFS) Remove(name string) error             { return os.Remove(name) }
 func (osFS) MkdirAll(path string, perm os.FileMode) error {
 	return os.MkdirAll(path, perm)
 }
-func (osFS) ReadFile(name string) ([]byte, error)    { return os.ReadFile(name) }
-func (osFS) Stat(name string) (os.FileInfo, error)   { return os.Stat(name) }
+func (osFS) ReadFile(name string) ([]byte, error)  { return os.ReadFile(name) }
+func (osFS) Stat(name string) (os.FileInfo, error) { return os.Stat(name) }
 
 // fsOr returns fsys, defaulting a nil FS to the real filesystem, so call
 // sites can thread an optional seam without nil checks.

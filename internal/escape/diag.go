@@ -62,7 +62,7 @@ type Diag struct {
 	Col  int // 0 when the compiler omitted the column
 	Kind Kind
 	// Func is the function named by inline diagnostics
-	// (e.g. "(*Weights).MarginPacked", "Packed.Dot", "NewSparse").
+	// (e.g. "(*Weights).Margin", "Sparse.Dot", "NewSparse").
 	Func string
 	// Expr is the escaping expression or variable name for
 	// KindEscape/KindMovedToHeap/KindNoEscape/KindLeakingParam.

@@ -248,7 +248,7 @@ func (c *poSVM) classify(tokens []string, arg1, arg2 Span) bool {
 	if gap < 0 || gap > 10 {
 		return false
 	}
-	return c.model.Margin(c.features(tokens, arg1, arg2)) > 0
+	return c.model.Margin(c.features(tokens, arg1, arg2).Packed()) > 0
 }
 
 // FeatureCount exposes the learned feature-space size for diagnostics.

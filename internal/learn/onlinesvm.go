@@ -62,26 +62,15 @@ func (m *OnlineSVM) Weights() *vector.Weights { return m.w }
 // Bias returns the bias term (always 0 when UseBias is false).
 func (m *OnlineSVM) Bias() float64 { return m.bias }
 
-// Margin returns w·x + b.
-func (m *OnlineSVM) Margin(x vector.Sparse) float64 { return m.w.Dot(x) + m.bias }
+// Margin returns w·x + b through the weight vector's margin kernel. It
+// takes the packed view (Sparse.Packed is zero-copy), so training's hinge
+// test and scoring share one fold.
+func (m *OnlineSVM) Margin(x vector.Packed) float64 { return m.w.Margin(x, m.bias, nil) }
 
 // Prob returns the logistic-normalized score 1/(1+exp(-(w·x+b))), the
 // committee-member score s(d) of BAgg-IE.
-func (m *OnlineSVM) Prob(x vector.Sparse) float64 {
+func (m *OnlineSVM) Prob(x vector.Packed) float64 {
 	return 1 / (1 + math.Exp(-m.Margin(x)))
-}
-
-// MarginPacked returns w·x + b through the weight vector's dense-mirror
-// fast path. Bitwise identical to Margin on the Sparse equivalent of x;
-// allocation-free once the mirror is built for the current model state.
-func (m *OnlineSVM) MarginPacked(x vector.Packed) float64 {
-	return m.w.MarginPacked(x, m.bias)
-}
-
-// ProbPacked is Prob over the packed fast path, with the same bitwise
-// parity and allocation guarantees as MarginPacked.
-func (m *OnlineSVM) ProbPacked(x vector.Packed) float64 {
-	return 1 / (1 + math.Exp(-m.MarginPacked(x)))
 }
 
 // Step performs one online update on example x with label y in {-1,+1}:
@@ -104,7 +93,7 @@ func (m *OnlineSVM) Step(x vector.Sparse, y float64) {
 		eta = 1 // keep the first steps bounded
 	}
 
-	if y*m.Margin(x) < 1 { // hinge sub-gradient
+	if y*m.Margin(x.Packed()) < 1 { // hinge sub-gradient
 		m.w.AddSparse(eta*y, x)
 		if m.UseBias {
 			m.bias += eta * y
@@ -113,36 +102,12 @@ func (m *OnlineSVM) Step(x vector.Sparse, y float64) {
 
 	// Proximal elastic-net shrinkage. Each weight first decays
 	// multiplicatively (L2) and is then soft-thresholded (L1); weights
-	// that cross zero are removed from the sparse model.
+	// that cross zero leave the sparse model's support.
 	decay := 1 - eta*m.Reg.L2Coeff()
 	if decay < 0 {
 		decay = 0
 	}
-	thresh := eta * m.Reg.L1Coeff()
-	m.shrink(decay, thresh)
-}
-
-// shrink applies w_i <- sign(w_i) * max(0, |w_i|*decay - thresh) to every
-// stored weight.
-func (m *OnlineSVM) shrink(decay, thresh float64) {
-	if decay == 1 && thresh == 0 {
-		return
-	}
-	var drop []int32
-	m.w.Range(func(i int32, v float64) {
-		nv := math.Abs(v)*decay - thresh
-		if nv <= 0 {
-			drop = append(drop, i)
-			return
-		}
-		if v < 0 {
-			nv = -nv
-		}
-		m.w.Set(i, nv)
-	})
-	for _, i := range drop {
-		m.w.Set(i, 0)
-	}
+	m.w.Shrink(decay, eta*m.Reg.L1Coeff())
 }
 
 // StepPair performs one stochastic pairwise descent update (RSVM-IE,

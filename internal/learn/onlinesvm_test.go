@@ -35,7 +35,7 @@ func TestOnlineSVMLearnsSeparableProblem(t *testing.T) {
 	correct := 0
 	for i := 0; i < 500; i++ {
 		x, y := separableExample(r)
-		if (m.Margin(x) > 0) == (y > 0) {
+		if (m.Margin(x.Packed()) > 0) == (y > 0) {
 			correct++
 		}
 	}
@@ -109,8 +109,8 @@ func TestOnlineSVMProbMonotoneInMargin(t *testing.T) {
 		rr := rand.New(rand.NewSource(seed))
 		a, _ := separableExample(rr)
 		b, _ := separableExample(rr)
-		ma, mb := m.Margin(a), m.Margin(b)
-		pa, pb := m.Prob(a), m.Prob(b)
+		ma, mb := m.Margin(a.Packed()), m.Margin(b.Packed())
+		pa, pb := m.Prob(a.Packed()), m.Prob(b.Packed())
 		if ma < mb {
 			return pa <= pb
 		}
@@ -125,7 +125,7 @@ func TestOnlineSVMProbRange(t *testing.T) {
 	m := NewOnlineSVM(ElasticNet{LambdaAll: 0.1, LambdaL2: 0.99}, true)
 	x := vector.FromCounts(map[int32]float64{0: 100})
 	m.Step(x, 1)
-	p := m.Prob(x)
+	p := m.Prob(x.Packed())
 	if p < 0 || p > 1 || math.IsNaN(p) {
 		t.Errorf("Prob = %g, want in [0,1]", p)
 	}
@@ -138,9 +138,9 @@ func TestStepPairPrefersUseful(t *testing.T) {
 	for i := 0; i < 200; i++ {
 		m.StepPair(useful, useless)
 	}
-	if m.Margin(useful) <= m.Margin(useless) {
+	if m.Margin(useful.Packed()) <= m.Margin(useless.Packed()) {
 		t.Errorf("score(useful)=%g <= score(useless)=%g after pairwise training",
-			m.Margin(useful), m.Margin(useless))
+			m.Margin(useful.Packed()), m.Margin(useless.Packed()))
 	}
 }
 
@@ -160,7 +160,7 @@ func TestOnlineSVMZeroRegularizationStillLearns(t *testing.T) {
 	for i := 0; i < 10; i++ {
 		m.Step(x, 1)
 	}
-	if m.Margin(x) <= 0 {
-		t.Errorf("margin = %g, want positive even with zero regularization", m.Margin(x))
+	if m.Margin(x.Packed()) <= 0 {
+		t.Errorf("margin = %g, want positive even with zero regularization", m.Margin(x.Packed()))
 	}
 }

@@ -14,8 +14,8 @@ import (
 // when the schedule cooperates — and a mutex-guarded plain access is no
 // better, because the atomic sites do not take the mutex. The typed
 // atomics (atomic.Int64, atomic.Pointer[T]) are immune by construction
-// — their values are unexported — which is why the repo's gen counters
-// and snapshot pointers use them; this analyzer pins down the old-style
+// — their values are unexported — which is why the repo's shared
+// counters and pointers use them; this analyzer pins down the old-style
 // address-taken pattern so it cannot creep back in half-converted form.
 //
 // The check runs in every package: unsynchronized state is a bug

@@ -23,9 +23,9 @@ func FuzzReadExplainLog(f *testing.F) {
 	f.Add([]byte(header))
 	f.Add([]byte(header + snap + attr + dec))
 	f.Add([]byte(header + snap + `{"kind":"attribution","doc":9,"sc`)) // torn tail
-	f.Add([]byte(header + "not json\n" + dec))                        // corrupt middle
-	f.Add([]byte(snap))                                               // no header
-	f.Add([]byte(header + `{"kind":"future-kind","x":1}` + "\n"))     // unknown kind: fatal
+	f.Add([]byte(header + "not json\n" + dec))                         // corrupt middle
+	f.Add([]byte(snap))                                                // no header
+	f.Add([]byte(header + `{"kind":"future-kind","x":1}` + "\n"))      // unknown kind: fatal
 	f.Add([]byte(header + dec + "\r\n"))
 	f.Add([]byte("not json"))
 	f.Add([]byte{})

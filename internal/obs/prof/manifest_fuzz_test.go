@@ -21,8 +21,8 @@ func FuzzReadManifest(f *testing.F) {
 	f.Add([]byte(header))
 	f.Add([]byte(header + art))
 	f.Add([]byte(header + art + `{"kind":"artifact","file":"heap-`)) // torn tail
-	f.Add([]byte(header + "not json\n" + art))                      // corrupt middle
-	f.Add([]byte(art))                                              // no header
+	f.Add([]byte(header + "not json\n" + art))                       // corrupt middle
+	f.Add([]byte(art))                                               // no header
 	f.Add([]byte(header + art + "\r\n"))
 	f.Add([]byte(header + `{"kind":"header","run_id":"second"}` + "\n")) // duplicate header
 	f.Add([]byte("not json"))

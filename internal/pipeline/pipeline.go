@@ -691,21 +691,25 @@ func RunContext(ctx context.Context, opts Options) (*Result, error) {
 	}
 	rank()
 
-	modelSupport := func() map[int32]bool {
+	// modelSnapshot copies the model weights (nil for strategies without
+	// a linear model); feature churn at each update is vector.Drift's
+	// Entered/Left between consecutive snapshots.
+	modelSnapshot := func() *vector.Weights {
 		m, ok := opts.Strategy.(Modeler)
-		if !ok || m.Model() == nil {
+		if !ok {
 			return nil
 		}
-		sup := make(map[int32]bool, m.Model().NNZ())
-		m.Model().Range(func(i int32, v float64) { sup[i] = true })
-		return sup
+		if w := m.Model(); w != nil {
+			return w.Clone()
+		}
+		return nil
 	}
-	prevSupport := modelSupport()
+	prevModel := modelSnapshot()
 
 	// modelHash is an order-independent fingerprint of the model weights
-	// (XOR-combined per-feature hashes: Weights.Range order must not
-	// matter). Snapshots recorded in the journal at each update verify
-	// that a resumed run's model evolves identically to the original.
+	// (XOR-combined per-feature hashes). Snapshots recorded in the
+	// journal at each update verify that a resumed run's model evolves
+	// identically to the original.
 	modelHash := func() (nnz int, sum uint64, ok bool) {
 		m, k := opts.Strategy.(Modeler)
 		if !k || m.Model() == nil {
@@ -854,23 +858,14 @@ func RunContext(ctx context.Context, opts Options) (*Result, error) {
 			// Feature churn bookkeeping.
 			var added, removed, size int
 			haveChurn := false
-			if cur := modelSupport(); cur != nil {
+			if cur := modelSnapshot(); cur != nil {
 				haveChurn = true
-				for f := range cur {
-					if !prevSupport[f] {
-						added++
-					}
-				}
-				for f := range prevSupport {
-					if !cur[f] {
-						removed++
-					}
-				}
-				size = len(cur)
+				d := vector.Drift(prevModel, cur)
+				added, removed, size = d.Entered, d.Left, cur.NNZ()
 				res.Churn = append(res.Churn, ChurnRecord{
 					Position: len(res.Order), Added: added, Removed: removed, Size: size,
 				})
-				prevSupport = cur
+				prevModel = cur
 				reg.Gauge(obs.MetricPipelineModelSupport).Set(float64(size))
 				reg.Counter(obs.MetricPipelineFeaturesAdded).Add(int64(added))
 				reg.Counter(obs.MetricPipelineFeaturesRemoved).Add(int64(removed))

@@ -91,15 +91,11 @@ func (s *Learned) Init(sample []LabeledDoc) {
 	}
 }
 
-// Score implements Strategy. Rankers with a packed fast path
-// (ranking.PackedScorer) are scored through it on the zero-copy packed
-// view of the cached feature vector; the result is bitwise identical to
-// the map-based Score, so per-document scoring (the batch panic
-// fallback) and batch scoring are interchangeable mid-run.
+// Score implements Strategy over the cached feature vector. The linear
+// rankers score through the same margin kernel as ScoreBatch, so
+// per-document scoring (the batch panic fallback) and batch scoring are
+// interchangeable mid-run.
 func (s *Learned) Score(d *corpus.Document) float64 {
-	if ps, ok := s.R.(ranking.PackedScorer); ok {
-		return ps.ScorePacked(s.F.FeaturesPacked(d))
-	}
 	return s.R.Score(s.F.Features(d))
 }
 

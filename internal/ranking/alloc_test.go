@@ -1,17 +1,17 @@
 package ranking_test
 
-// Allocation-budget tests: the scoring fast paths must allocate nothing
-// in steady state. testing.AllocsPerRun runs the function once as a
-// warm-up before measuring, which absorbs the one-time dense-mirror
-// build; an explicit warm call keeps that contract visible anyway. A
-// non-zero budget here means the zero-alloc hot path regressed — the
-// same property cmd/benchgate gates in CI from the committed
-// BENCH_scoring.json trajectory.
+// Allocation-budget tests: scoring and the per-example training step
+// must allocate nothing in steady state. testing.AllocsPerRun runs the
+// function once as a warm-up before measuring; an explicit warm call
+// keeps that contract visible anyway. A non-zero budget here means the
+// zero-alloc hot path regressed — the same property cmd/benchgate gates
+// in CI from the committed BENCH_scoring.json trajectory.
 
 import (
 	"math/rand"
 	"testing"
 
+	"adaptiverank/internal/learn"
 	"adaptiverank/internal/ranking"
 	"adaptiverank/internal/vector"
 )
@@ -41,7 +41,7 @@ func trainRanker(r ranking.Ranker, docs []vector.Sparse) {
 // warm call.
 func assertZeroAllocs(t *testing.T, name string, f func()) {
 	t.Helper()
-	f() // warm: builds dense mirrors, grows any lazily sized buffers
+	f() // warm: grows any lazily sized buffers
 	if n := testing.AllocsPerRun(1000, f); n != 0 {
 		t.Errorf("%s allocates %.3f times per run in steady state, want 0", name, n)
 	}
@@ -61,24 +61,12 @@ func TestScoringAllocBudgets(t *testing.T) {
 	trainRanker(bagg, docs)
 
 	i := 0
-	assertZeroAllocs(t, "RSVMIE.ScorePacked", func() {
-		rsvm.ScorePacked(packed[i%len(packed)])
-		i++
-	})
 	assertZeroAllocs(t, "RSVMIE.ScoreBatch", func() {
 		rsvm.ScoreBatch(packed, out)
-	})
-	assertZeroAllocs(t, "BAggIE.ScorePacked", func() {
-		bagg.ScorePacked(packed[i%len(packed)])
-		i++
 	})
 	assertZeroAllocs(t, "BAggIE.ScoreBatch", func() {
 		bagg.ScoreBatch(packed, out)
 	})
-
-	// The map-based Score paths are allocation-free today too; pinning
-	// them keeps the parity baseline honest (a regression there would
-	// silently widen the packed speedup).
 	assertZeroAllocs(t, "RSVMIE.Score", func() {
 		rsvm.Score(docs[i%len(docs)])
 		i++
@@ -87,29 +75,45 @@ func TestScoringAllocBudgets(t *testing.T) {
 		bagg.Score(docs[i%len(docs)])
 		i++
 	})
+
+	// The per-example training step: hinge test, sub-gradient and the
+	// elastic-net shrink all update the dense weight vector in place.
+	// Warmed over every document first, so the vector already spans
+	// their ids and no step has to grow it.
+	svm := learn.NewOnlineSVM(learn.ElasticNet{LambdaAll: 0.1, LambdaL2: 0.99}, true)
+	for k, d := range docs {
+		svm.Step(d, float64(1-2*(k%2)))
+	}
+	assertZeroAllocs(t, "OnlineSVM.Step", func() {
+		svm.Step(docs[i%len(docs)], float64(1-2*(i%2)))
+		i++
+	})
 }
 
-// TestMarginPackedAllocBudget pins the Weights dense-mirror margin at
-// zero steady-state allocations, including across a mutation epoch: only
-// the first call after a mutation may allocate (the mirror rebuild), and
-// even that reuses capacity when the support did not grow.
+// TestMarginPackedAllocBudget pins the margin kernel itself, on a weight
+// vector built outside any ranker, at zero steady-state allocations,
+// including across a mutation epoch: an in-place shrink does not grow the
+// dense vector, so margins after it stay allocation-free too.
 func TestMarginPackedAllocBudget(t *testing.T) {
 	docs := allocDocs(64)
+	packed := make([]vector.Packed, len(docs))
+	for i, d := range docs {
+		packed[i] = d.Packed()
+	}
 	w := vector.NewWeights()
 	for i, d := range docs {
 		w.AddSparse(0.1*float64(i%5), d)
 	}
-	x := docs[0].Packed()
-	assertZeroAllocs(t, "Weights.MarginPacked", func() {
-		w.MarginPacked(x, 0.5)
+	i := 0
+	assertZeroAllocs(t, "Weights.Margin", func() {
+		w.Margin(packed[i%len(packed)], 0.5, nil)
+		i++
 	})
 
-	// Mutate without growing the support: the rebuild on the next call
-	// reuses the stale mirror's capacity, so even the rebuild itself
-	// stays allocation-free (beyond the snapshot header).
-	w.Scale(0.99)
-	w.MarginPacked(x, 0) // rebuild
-	assertZeroAllocs(t, "Weights.MarginPacked after mutation", func() {
-		w.MarginPacked(x, 0)
+	// Mutate without growing the support, then measure again.
+	w.Shrink(0.99, 0)
+	assertZeroAllocs(t, "Weights.Margin after mutation", func() {
+		w.Margin(packed[i%len(packed)], 0, nil)
+		i++
 	})
 }

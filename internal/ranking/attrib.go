@@ -6,7 +6,7 @@ package ranking
 // the nonzero contributions w_i·x_i is both cheap (bounded by the
 // document's support ∩ the model's support) and a complete explanation:
 // the contract, pinned by tests, is that folding an Attribution back
-// together reconstructs ScorePacked's float64 bit for bit.
+// together reconstructs the ranker's score bit for bit.
 
 import (
 	"math"
@@ -17,7 +17,8 @@ import (
 
 // Contribution is one nonzero per-feature term w_i·x_i of a linear
 // margin. Contributions are reported in ascending feature-index order —
-// the fold order of MarginPacked — which is what makes the sum exact.
+// the fold order of the margin kernel — which is what makes the sum
+// exact.
 type Contribution struct {
 	Index int32   `json:"index"`
 	Value float64 `json:"value"`
@@ -25,7 +26,7 @@ type Contribution struct {
 
 // MemberAttribution decomposes one linear member's margin: summing
 // Contribs in slice order and adding Bias reproduces Margin bitwise,
-// and Margin is bitwise equal to the member's MarginPacked(x).
+// and Margin is bitwise equal to the member's Margin(x).
 type MemberAttribution struct {
 	Bias     float64        `json:"bias"`
 	Margin   float64        `json:"margin"`
@@ -36,8 +37,8 @@ type MemberAttribution struct {
 // RSVM-IE has a single member and Score == Members[0].Margin. BAgg-IE
 // has one member per committee classifier and Score is the sum of the
 // members' logistic-normalized margins, accumulated in member order —
-// exactly the expression ScorePacked evaluates, so Reconstruct returns
-// the reported score bit for bit.
+// exactly the expression Score evaluates, so Reconstruct returns the
+// reported score bit for bit.
 type Attribution struct {
 	Score    float64             `json:"score"`
 	Logistic bool                `json:"logistic,omitempty"`
@@ -48,7 +49,7 @@ type Attribution struct {
 // per member, contributions in order plus bias, logistic-normalized
 // when Logistic is set, summed in member order. For an Attribution
 // produced by an Attributor the result is bitwise equal to both
-// Attribution.Score and the ranker's ScorePacked on the same document.
+// Attribution.Score and the ranker's Score on the same document.
 func (a Attribution) Reconstruct() float64 {
 	var s float64
 	for _, m := range a.Members {
@@ -71,18 +72,17 @@ func (a Attribution) Reconstruct() float64 {
 // (like PackedScorer) and skips attribution capture for rankers without
 // a linear structure to explain.
 type Attributor interface {
-	// Attribute explains ScorePacked(x): the returned Attribution's
-	// Score is bitwise equal to ScorePacked(x), and Reconstruct()
-	// rebuilds it from the parts.
+	// Attribute explains the ranker's score of x: the returned
+	// Attribution's Score is bitwise equal to Score and ScoreBatch on
+	// the same document, and Reconstruct() rebuilds it from the parts.
 	Attribute(x vector.Packed) Attribution
 }
 
-// attributeMember decomposes one OnlineSVM margin via the weight
-// vector's contribution fold; Margin is bitwise equal to
-// m.MarginPacked(x).
+// attributeMember decomposes one OnlineSVM margin by visiting the margin
+// kernel's nonzero products; Margin is bitwise equal to m.Margin(x).
 func attributeMember(m *learn.OnlineSVM, x vector.Packed) MemberAttribution {
 	var contribs []Contribution
-	margin := m.Weights().ContributionsPacked(x, m.Bias(), func(i int32, c float64) {
+	margin := m.Weights().Margin(x, m.Bias(), func(i int32, c float64) {
 		contribs = append(contribs, Contribution{Index: i, Value: c})
 	})
 	return MemberAttribution{Bias: m.Bias(), Margin: margin, Contribs: contribs}
@@ -97,7 +97,7 @@ func (r *RSVMIE) Attribute(x vector.Packed) Attribution {
 
 // Attribute implements Attributor: one member per committee classifier,
 // with the score accumulated over the members' logistic margins in
-// member order exactly as ScorePacked does.
+// member order exactly as Score does.
 func (b *BAggIE) Attribute(x vector.Packed) Attribution {
 	a := Attribution{Logistic: true, Members: make([]MemberAttribution, 0, len(b.members))}
 	for _, m := range b.members {

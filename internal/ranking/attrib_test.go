@@ -3,10 +3,12 @@ package ranking
 import (
 	"math/rand"
 	"testing"
+
+	"adaptiverank/internal/vector"
 )
 
 // The attribution contract pinned here: Attribute(x).Score is bitwise
-// equal to ScorePacked(x), Reconstruct() rebuilds that same float64
+// equal to Score(x) and ScoreBatch, Reconstruct() rebuilds that same float64
 // from the parts, every reported contribution is nonzero, and the
 // contributions arrive in ascending feature-index order (the fold order
 // that makes the sum exact).
@@ -19,15 +21,20 @@ func checkAttribution(t *testing.T, rk Ranker, seed int64) {
 	}
 	ps := rk.(PackedScorer)
 	r := rand.New(rand.NewSource(seed))
+	var batch [1]float64
 	for i := 0; i < 500; i++ {
-		x := example(r, i%3 == 0).Packed()
-		want := ps.ScorePacked(x)
+		sx := example(r, i%3 == 0)
+		x := sx.Packed()
+		want := rk.Score(sx)
+		if ps.ScoreBatch([]vector.Packed{x}, batch[:]); batch[0] != want {
+			t.Fatalf("doc %d: ScoreBatch = %v, Score = %v (bits differ)", i, batch[0], want)
+		}
 		a := at.Attribute(x)
 		if a.Score != want {
-			t.Fatalf("doc %d: Attribute.Score = %v, ScorePacked = %v (bits differ)", i, a.Score, want)
+			t.Fatalf("doc %d: Attribute.Score = %v, Score = %v (bits differ)", i, a.Score, want)
 		}
 		if got := a.Reconstruct(); got != want {
-			t.Fatalf("doc %d: Reconstruct = %v, ScorePacked = %v (bits differ)", i, got, want)
+			t.Fatalf("doc %d: Reconstruct = %v, Score = %v (bits differ)", i, got, want)
 		}
 		for mi, m := range a.Members {
 			var margin float64

@@ -142,9 +142,10 @@ func appendCapped(q []vector.Sparse, x vector.Sparse, cap int) []vector.Sparse {
 
 // Score implements Ranker: the sum of the members' logistic scores.
 func (b *BAggIE) Score(x vector.Sparse) float64 {
+	p := x.Packed()
 	var s float64
 	for _, m := range b.members {
-		s += m.Prob(x)
+		s += m.Prob(p)
 	}
 	return s
 }

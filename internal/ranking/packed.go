@@ -5,59 +5,39 @@ import (
 	"adaptiverank/internal/vector"
 )
 
-// PackedScorer is the zero-allocation scoring fast path. Rankers that
-// implement it score vector.Packed document views without map probes or
-// per-call allocation; the pipeline's score workers detect it by type
-// assertion and fall back to Ranker.Score otherwise (RandomRanker, for
-// one, has no linear fast path).
+// PackedScorer is the zero-allocation batch scoring path. Rankers that
+// implement it score vector.Packed document views through the weight
+// vector's margin kernel without per-call allocation; the pipeline's
+// score workers detect it by type assertion and fall back to
+// Ranker.Score otherwise (RandomRanker, for one, has no linear model).
 //
-// Contract: ScorePacked(x) must return bitwise the same float64 as
-// Score on the Sparse vector x views — the byte-identical-output and
+// Contract: ScoreBatch(xs, out) must leave out[i] bitwise equal to Score
+// on the Sparse vector xs[i] views — the byte-identical-output and
 // worker-count-invariance guarantees of the pipeline depend on the two
-// paths being interchangeable mid-run (e.g. after a batch panic
-// fallback).
+// being interchangeable mid-run (e.g. after a batch panic fallback).
+// Both fold through the same kernel, so they are equal by construction.
 type PackedScorer interface {
-	// ScorePacked predicts the usefulness of one packed document vector.
-	ScorePacked(x vector.Packed) float64
 	// ScoreBatch scores xs[i] into out[i] for every i; len(out) must be
 	// at least len(xs). It performs no per-document allocation: callers
 	// own and reuse both slices across batches.
 	ScoreBatch(xs []vector.Packed, out []float64)
 }
 
-// ScorePacked implements PackedScorer: the RankSVM linear score w·x via
-// the dense-mirror margin.
-func (r *RSVMIE) ScorePacked(x vector.Packed) float64 { return r.model.MarginPacked(x) }
-
-// ScoreBatch implements PackedScorer. The model's dense mirror is built
-// at most once per model state (on the first scored document), so the
-// steady-state loop is allocation-free.
+// ScoreBatch implements PackedScorer: the RankSVM linear score w·x of
+// every document.
 func (r *RSVMIE) ScoreBatch(xs []vector.Packed, out []float64) {
-	for k, x := range xs {
-		out[k] = r.model.MarginPacked(x)
+	for k := range xs {
+		out[k] = r.model.Margin(xs[k])
 	}
 }
 
-// ScorePacked implements PackedScorer: the sum of the members' logistic
-// scores, accumulated in member order exactly as Score does, so the two
-// paths agree bitwise.
-func (b *BAggIE) ScorePacked(x vector.Packed) float64 {
-	var s float64
-	for _, m := range b.members {
-		s += m.ProbPacked(x)
-	}
-	return s
-}
-
-// ScoreBatch implements PackedScorer. The committee's 3× pass over the
-// batch shares one scratch set: the members' dense weight mirrors (built
-// once per model state) and the caller's xs/out buffers — no per-document
-// or per-member allocation.
+// ScoreBatch implements PackedScorer: per document, the members'
+// logistic scores summed in member order, exactly as Score does.
 func (b *BAggIE) ScoreBatch(xs []vector.Packed, out []float64) {
 	for k, x := range xs {
 		var s float64
 		for _, m := range b.members {
-			s += m.ProbPacked(x)
+			s += m.Prob(x)
 		}
 		out[k] = s
 	}

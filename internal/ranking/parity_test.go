@@ -66,20 +66,49 @@ func maxScoreDelta(xs []vector.Sparse, score, ref func(vector.Sparse) float64) (
 	return worst, at
 }
 
+// maxBatchDelta is maxScoreDelta for the batch path: the whole corpus
+// scored in one ScoreBatch call.
+func maxBatchDelta(xs []vector.Sparse, ps ranking.PackedScorer, ref func(vector.Sparse) float64) (float64, int) {
+	packed := make([]vector.Packed, len(xs))
+	for i, x := range xs {
+		packed[i] = x.Packed()
+	}
+	out := make([]float64, len(xs))
+	ps.ScoreBatch(packed, out)
+	worst, at := 0.0, -1
+	for i, x := range xs {
+		if d := math.Abs(out[i] - ref(x)); d > worst {
+			worst, at = d, i
+		}
+	}
+	return worst, at
+}
+
+// TestRSVMIEMatchesReference trains in four epochs and re-scores the
+// whole corpus after each, through both Score and ScoreBatch: the
+// pipeline re-ranks after every detector-triggered update, so scores
+// must see every model update, not only the final state.
 func TestRSVMIEMatchesReference(t *testing.T) {
 	xs, ys := parityCorpus(t)
 	prod := ranking.NewRSVMIE(ranking.RSVMOptions{Seed: 99})
 	ref := ranking.NewReferenceRSVMIE(99)
-	for i, x := range xs {
-		prod.Learn(x, ys[i])
-		ref.Learn(x, ys[i])
+	for epoch := 0; epoch < 4; epoch++ {
+		lo, hi := epoch*len(xs)/4, (epoch+1)*len(xs)/4
+		for i := lo; i < hi; i++ {
+			prod.Learn(xs[i], ys[i])
+			ref.Learn(xs[i], ys[i])
+		}
+		if d, at := maxScoreDelta(xs, prod.Score, ref.Score); d > parityTolerance {
+			t.Errorf("epoch %d: RSVM-IE diverged from reference: |Δ| = %g at doc %d (prod %g, ref %g)",
+				epoch, d, at, prod.Score(xs[at]), ref.Score(xs[at]))
+		}
+		if d, at := maxBatchDelta(xs, prod, ref.Score); d > parityTolerance {
+			t.Errorf("epoch %d: RSVM-IE ScoreBatch diverged from reference: |Δ| = %g at doc %d",
+				epoch, d, at)
+		}
 	}
 	if prod.Steps() == 0 {
 		t.Fatal("production learner took no gradient steps")
-	}
-	if d, at := maxScoreDelta(xs, prod.Score, ref.Score); d > parityTolerance {
-		t.Errorf("RSVM-IE diverged from reference: |Δ| = %g at doc %d (prod %g, ref %g)",
-			d, at, prod.Score(xs[at]), ref.Score(xs[at]))
 	}
 	// The trained model must actually separate something — a parity pass
 	// between two all-zero models would be vacuous.
@@ -107,6 +136,9 @@ func TestBAggIEMatchesReference(t *testing.T) {
 		t.Errorf("BAgg-IE diverged from reference: |Δ| = %g at doc %d (prod %g, ref %g)",
 			d, at, prod.Score(xs[at]), ref.Score(xs[at]))
 	}
+	if d, at := maxBatchDelta(xs, prod, ref.Score); d > parityTolerance {
+		t.Errorf("BAgg-IE ScoreBatch diverged from reference: |Δ| = %g at doc %d", d, at)
+	}
 	// An untrained committee scores 3*sigmoid(0) = 1.5 everywhere; the
 	// trained one must have moved off that point.
 	moved := false
@@ -118,85 +150,6 @@ func TestBAggIEMatchesReference(t *testing.T) {
 	}
 	if !moved {
 		t.Fatal("trained BAgg-IE never moved off the untrained score")
-	}
-}
-
-// packedParity pins a trained ranker's zero-alloc fast paths: ScorePacked
-// must equal the map-based Score bitwise on every document (the pipeline
-// mixes the two paths mid-run, so "close" is not good enough), ScoreBatch
-// must equal ScorePacked bitwise at every batch position, and the packed
-// scores must stay within the golden tolerance of the from-the-formulas
-// reference.
-func packedParity(t *testing.T, prod interface {
-	ranking.Ranker
-	ranking.PackedScorer
-}, ref interface {
-	Score(vector.Sparse) float64
-}, xs []vector.Sparse) {
-	t.Helper()
-	packed := make([]vector.Packed, len(xs))
-	for i, x := range xs {
-		packed[i] = x.Packed()
-	}
-	for i, x := range xs {
-		if got, want := prod.ScorePacked(packed[i]), prod.Score(x); got != want {
-			t.Fatalf("ScorePacked differs from Score at doc %d: %g vs %g", i, got, want)
-		}
-	}
-	out := make([]float64, len(packed))
-	prod.ScoreBatch(packed, out)
-	for i := range packed {
-		if want := prod.ScorePacked(packed[i]); out[i] != want {
-			t.Fatalf("ScoreBatch differs from ScorePacked at doc %d: %g vs %g", i, out[i], want)
-		}
-	}
-	if d, at := maxScoreDelta(xs, func(x vector.Sparse) float64 {
-		return prod.ScorePacked(x.Packed())
-	}, ref.Score); d > parityTolerance {
-		t.Errorf("packed score diverged from reference: |Δ| = %g at doc %d", d, at)
-	}
-}
-
-func TestRSVMIEPackedParity(t *testing.T) {
-	xs, ys := parityCorpus(t)
-	prod := ranking.NewRSVMIE(ranking.RSVMOptions{Seed: 99})
-	ref := ranking.NewReferenceRSVMIE(99)
-	for i, x := range xs {
-		prod.Learn(x, ys[i])
-		ref.Learn(x, ys[i])
-	}
-	packedParity(t, prod, ref, xs)
-}
-
-func TestBAggIEPackedParity(t *testing.T) {
-	xs, ys := parityCorpus(t)
-	prod := ranking.NewBAggIE(ranking.BAggOptions{})
-	ref := ranking.NewReferenceBAggIE()
-	for i, x := range xs {
-		prod.Learn(x, ys[i])
-		ref.Learn(x, ys[i])
-	}
-	packedParity(t, prod, ref, xs)
-}
-
-// TestPackedParitySurvivesRetraining interleaves scoring and further
-// training: every model mutation must invalidate the dense mirror, so the
-// packed path tracks the map exactly across update epochs (the pipeline
-// re-ranks after every detector-triggered update).
-func TestPackedParitySurvivesRetraining(t *testing.T) {
-	xs, ys := parityCorpus(t)
-	prod := ranking.NewRSVMIE(ranking.RSVMOptions{Seed: 99})
-	for epoch := 0; epoch < 4; epoch++ {
-		lo, hi := epoch*len(xs)/4, (epoch+1)*len(xs)/4
-		for i := lo; i < hi; i++ {
-			prod.Learn(xs[i], ys[i])
-		}
-		for i, x := range xs {
-			if got, want := prod.ScorePacked(x.Packed()), prod.Score(x); got != want {
-				t.Fatalf("epoch %d: packed score stale at doc %d: %g vs %g",
-					epoch, i, got, want)
-			}
-		}
 	}
 }
 

@@ -201,7 +201,9 @@ func TestQuickRSVMScoreIsLinear(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		x := example(r, r.Intn(2) == 0)
-		diff := rk.Score(x) - w.Dot(x)
+		var dot float64
+		x.Range(func(i int32, v float64) { dot += w.At(i) * v })
+		diff := rk.Score(x) - dot
 		return diff < 1e-9 && diff > -1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {

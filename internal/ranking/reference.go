@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"sort"
+	"sync"
 
 	"adaptiverank/internal/vector"
 )
@@ -11,6 +12,9 @@ import (
 // RandomRanker is the random-ordering reference of the evaluation figures:
 // every document gets an i.i.d. pseudo-random score fixed at first sight.
 type RandomRanker struct {
+	// mu serializes draws: the pipeline's score workers call Score
+	// concurrently, and a rand.Rand is not safe for concurrent use.
+	mu  sync.Mutex
 	rng *rand.Rand
 }
 
@@ -28,7 +32,11 @@ func (r *RandomRanker) Learn(vector.Sparse, bool) {}
 // Score implements Ranker with a uniform pseudo-random score. Scores are
 // drawn per call; the pipeline scores each pending document once per
 // (re-)ranking, so the resulting order is a uniform random permutation.
-func (r *RandomRanker) Score(vector.Sparse) float64 { return r.rng.Float64() }
+func (r *RandomRanker) Score(vector.Sparse) float64 {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	return r.rng.Float64()
+}
 
 // Model implements Ranker (none).
 func (r *RandomRanker) Model() *vector.Weights { return nil }

@@ -129,7 +129,7 @@ func (r *RSVMIE) learn(x vector.Sparse, useful bool) {
 }
 
 // Score implements Ranker: the RankSVM linear score w·x.
-func (r *RSVMIE) Score(x vector.Sparse) float64 { return r.model.Margin(x) }
+func (r *RSVMIE) Score(x vector.Sparse) float64 { return r.model.Margin(x.Packed()) }
 
 // Model implements Ranker.
 func (r *RSVMIE) Model() *vector.Weights { return r.model.Weights() }

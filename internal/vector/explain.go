@@ -1,47 +1,20 @@
 package vector
 
 // Model-introspection primitives for the explain substrate
-// (internal/obs/explain): exact per-feature score attribution and
-// snapshot-to-snapshot drift statistics. Everything here folds in
-// sorted index order — these numbers end up in explain artifacts that
-// the byte-identity tests compare across runs, so they are held to the
-// same determinism bar as the detector statistics (PR5 detrand rule).
+// (internal/obs/explain): snapshot-to-snapshot drift statistics. (Exact
+// per-feature score attribution is Margin's visit callback.) Everything
+// here folds in ascending index order — these numbers end up in explain
+// artifacts that the byte-identity tests compare across runs, so they
+// are held to the same determinism bar as the detector statistics.
 
 import (
 	"math"
 	"slices"
 )
 
-// ContributionsPacked returns w·x + bias through the same dense-mirror
-// walk as MarginPacked — same ascending-index fold, bitwise-identical
-// result — while reporting each nonzero per-feature contribution
-// w_i·x_i to f in fold order. The products it does not report are exact
-// IEEE zeros (features absent from the model), and the running sum can
-// never be −0 (it starts at +0 and cancellation yields +0 under
-// round-to-nearest), so folding the reported contributions in call
-// order and adding bias reconstructs the returned margin bit for bit.
-func (w *Weights) ContributionsPacked(x Packed, bias float64, f func(i int32, c float64)) float64 {
-	d := w.denseVals()
-	n := int32(len(d))
-	var sum float64
-	idx := x.Idx
-	val := x.Val
-	for k, i := range idx {
-		if i >= n {
-			break
-		}
-		c := d[i] * val[k]
-		sum += c
-		if c != 0 && f != nil {
-			f(i, c)
-		}
-	}
-	return sum + bias
-}
-
 // DriftStats summarizes how a weight vector moved between two training
 // snapshots: norms of the difference vector, directional similarity,
-// and support churn. All folds run in sorted index order.
+// and support churn. All folds run in ascending index order.
 type DriftStats struct {
 	// L1 and L2 are the norms of (cur − prev).
 	L1 float64 `json:"l1"`
@@ -59,13 +32,12 @@ type DriftStats struct {
 func Drift(prev, cur *Weights) DriftStats {
 	var l1, l2 float64
 	var entered, left int
-	for _, i := range unionSortedIndices(prev, cur) {
-		pv, pok := prev.w[i]
-		cv, cok := cur.w[i]
-		if cok && !pok {
+	for i := range int32(max(len(prev.v), len(cur.v))) {
+		pv, cv := prev.At(i), cur.At(i)
+		if cv != 0 && pv == 0 {
 			entered++
 		}
-		if pok && !cok {
+		if pv != 0 && cv == 0 {
 			left++
 		}
 		d := cv - pv
@@ -85,10 +57,9 @@ func Drift(prev, cur *Weights) DriftStats {
 // prev and cur, ordered by decreasing |Δweight| with index as
 // tiebreaker; Weight carries the signed delta cur−prev.
 func TopMovers(prev, cur *Weights, k int) []WeightedFeature {
-	idx := unionSortedIndices(prev, cur)
-	movers := make([]WeightedFeature, 0, len(idx))
-	for _, i := range idx {
-		if d := cur.w[i] - prev.w[i]; d != 0 {
+	movers := make([]WeightedFeature, 0, prev.nnz+cur.nnz)
+	for i := range int32(max(len(prev.v), len(cur.v))) {
+		if d := cur.At(i) - prev.At(i); d != 0 {
 			movers = append(movers, WeightedFeature{Index: i, Weight: d})
 		}
 	}
@@ -97,22 +68,4 @@ func TopMovers(prev, cur *Weights, k int) []WeightedFeature {
 		movers = movers[:k]
 	}
 	return movers
-}
-
-// unionSortedIndices returns the union of both support sets in
-// increasing index order.
-func unionSortedIndices(a, b *Weights) []int32 {
-	idx := make([]int32, 0, len(a.w)+len(b.w))
-	//lint:allow detrand index collection is sorted immediately below
-	for i := range a.w {
-		idx = append(idx, i)
-	}
-	//lint:allow detrand index collection is sorted immediately below
-	for i := range b.w {
-		if _, ok := a.w[i]; !ok {
-			idx = append(idx, i)
-		}
-	}
-	slices.Sort(idx)
-	return idx
 }

@@ -1,19 +1,14 @@
 package vector
 
-import "math"
-
-// Packed is the scoring hot path's sparse-vector representation: parallel
+// Packed is the scoring hot path's view of a sparse vector: parallel
 // index/value slices sorted by strictly increasing feature index, exposed
-// directly so the inner loops compile down to straight slice walks with no
-// closure calls, map lookups, or bounds-check surprises. Unlike Sparse it
-// is mutable and its storage is caller-owned, which is what lets batch
-// scorers and pooled buffers reuse one allocation across documents.
+// directly so the margin kernel (Weights.Margin) compiles down to a
+// straight slice walk. Batch scorers keep slices of Packed views in
+// pooled, caller-owned buffers.
 //
-// Ownership contract: a Packed obtained from Sparse.Packed is a zero-copy
-// view of the immutable Sparse storage and must be treated as read-only
-// (mutating it would corrupt every other holder of the same Sparse, such
-// as the featurizer cache). A Packed built by PackInto or Sub owns its
-// slices and may be mutated and reused freely.
+// A Packed obtained from Sparse.Packed shares the immutable Sparse
+// storage and must be treated as read-only: mutating it would corrupt
+// every other holder of the same Sparse, such as the featurizer cache.
 type Packed struct {
 	Idx []int32
 	Val []float64
@@ -22,152 +17,3 @@ type Packed struct {
 // Packed returns a zero-copy read-only view of s. The view shares s's
 // backing arrays: callers must not modify Idx or Val through it.
 func (s Sparse) Packed() Packed { return Packed{Idx: s.idx, Val: s.val} }
-
-// PackInto copies s into dst, reusing dst's capacity when possible, and
-// returns the filled Packed. The result is owned by the caller.
-func PackInto(dst Packed, s Sparse) Packed {
-	dst.Idx = append(dst.Idx[:0], s.idx...)
-	dst.Val = append(dst.Val[:0], s.val...)
-	return dst
-}
-
-// ToSparse snapshots p as an immutable Sparse vector (copying storage).
-// p must honour the Packed invariant (strictly increasing indices, no
-// stored zeros), which every constructor in this package maintains.
-func (p Packed) ToSparse() Sparse {
-	idx := make([]int32, len(p.Idx))
-	val := make([]float64, len(p.Val))
-	copy(idx, p.Idx)
-	copy(val, p.Val)
-	return Sparse{idx: idx, val: val}
-}
-
-// NNZ reports the number of stored (non-zero) entries.
-func (p Packed) NNZ() int { return len(p.Idx) }
-
-// At returns the value at feature index i (0 when absent), by binary
-// search over the sorted index slice.
-func (p Packed) At(i int32) float64 {
-	lo, hi := 0, len(p.Idx)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if p.Idx[mid] < i {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	if lo < len(p.Idx) && p.Idx[lo] == i {
-		return p.Val[lo]
-	}
-	return 0
-}
-
-// L1 returns the L1 norm.
-func (p Packed) L1() float64 {
-	var sum float64
-	for _, v := range p.Val {
-		sum += math.Abs(v)
-	}
-	return sum
-}
-
-// L2 returns the Euclidean norm.
-func (p Packed) L2() float64 {
-	var sum float64
-	for _, v := range p.Val {
-		sum += v * v
-	}
-	return math.Sqrt(sum)
-}
-
-// Dot returns the inner product of two packed vectors with a merge-style
-// walk over the sorted index slices. The non-matching sides advance in
-// tight inner loops (rather than re-entering a three-way branch per
-// element), which keeps the comparisons the branch predictor sees
-// overwhelmingly uniform on the skewed model-vs-document shapes the
-// rankers produce. Matching index pairs accumulate in ascending index
-// order — the same order as Sparse.Dot — so both paths agree bitwise.
-func (p Packed) Dot(q Packed) float64 {
-	var sum float64
-	i, j := 0, 0
-	na, nb := len(p.Idx), len(q.Idx)
-	for i < na && j < nb {
-		ia, jb := p.Idx[i], q.Idx[j]
-		switch {
-		case ia == jb:
-			sum += p.Val[i] * q.Val[j]
-			i++
-			j++
-		case ia < jb:
-			for i++; i < na && p.Idx[i] < jb; i++ {
-			}
-		default:
-			for j++; j < nb && q.Idx[j] < ia; j++ {
-			}
-		}
-	}
-	return sum
-}
-
-// Scale multiplies every value by a in place. Scaling by 0 empties the
-// vector (mirroring Sparse.Scale, which drops exact zeros).
-func (p *Packed) Scale(a float64) {
-	if a == 0 {
-		p.Idx = p.Idx[:0]
-		p.Val = p.Val[:0]
-		return
-	}
-	for k, v := range p.Val {
-		p.Val[k] = v * a
-	}
-}
-
-// Normalize scales p to unit L2 norm in place (zero vectors are left
-// unchanged), using the same multiply-by-reciprocal arithmetic as
-// Sparse.Normalize.
-func (p *Packed) Normalize() {
-	n := p.L2()
-	if n == 0 {
-		return
-	}
-	p.Scale(1 / n)
-}
-
-// Sub computes p - q into dst (reusing its capacity) and returns the
-// filled Packed. Exact-zero differences are dropped, mirroring
-// Sparse.Sub. dst must not alias p or q.
-func (p Packed) Sub(q Packed, dst Packed) Packed {
-	idx := dst.Idx[:0]
-	val := dst.Val[:0]
-	i, j := 0, 0
-	na, nb := len(p.Idx), len(q.Idx)
-	for i < na && j < nb {
-		switch {
-		case p.Idx[i] < q.Idx[j]:
-			idx = append(idx, p.Idx[i])
-			val = append(val, p.Val[i])
-			i++
-		case p.Idx[i] > q.Idx[j]:
-			idx = append(idx, q.Idx[j])
-			val = append(val, -q.Val[j])
-			j++
-		default:
-			if d := p.Val[i] - q.Val[j]; d != 0 {
-				idx = append(idx, p.Idx[i])
-				val = append(val, d)
-			}
-			i++
-			j++
-		}
-	}
-	for ; i < na; i++ {
-		idx = append(idx, p.Idx[i])
-		val = append(val, p.Val[i])
-	}
-	for ; j < nb; j++ {
-		idx = append(idx, q.Idx[j])
-		val = append(val, -q.Val[j])
-	}
-	return Packed{Idx: idx, Val: val}
-}

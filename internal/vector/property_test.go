@@ -7,8 +7,11 @@ package vector
 // deterministic across runs.
 
 import (
+	"maps"
 	"math"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 )
 
@@ -125,108 +128,159 @@ func TestPropertyNewSparseFoldsDuplicates(t *testing.T) {
 	}
 }
 
+// TestPropertyWeightsMatchDense drives a Weights vector and a plain map
+// oracle through the same random mutations — Set/Add (also on ids past
+// the current length), AddSparse, the elastic-net Shrink that drives
+// weights across zero, and clone-then-mutate — and checks every
+// observable after each trial, the nonzero counter included. All values
+// are dyadic rationals, so every operation is exact and the two must
+// agree exactly on support and values.
 func TestPropertyWeightsMatchDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	for trial := 0; trial < propertyTrials; trial++ {
-		// Model a Weights vector against a plain dense reference.
-		const width = 48
-		w := NewWeights()
-		dense := make([]float64, width)
-		for op := 0; op < 60; op++ {
-			switch rng.Intn(4) {
-			case 0:
-				i := rng.Int31n(width)
-				v := float64(rng.Intn(9) - 4)
+	const width = 48
+	mutate := func(w *Weights, oracle map[int32]float64) {
+		put := func(i int32, v float64) {
+			if v == 0 {
+				delete(oracle, i)
+			} else {
+				oracle[i] = v
+			}
+		}
+		switch rng.Intn(5) {
+		case 0:
+			i := rng.Int31n(width)
+			v := float64(rng.Intn(9) - 4)
+			w.Set(i, v)
+			put(i, v)
+		case 1:
+			i := rng.Int31n(width)
+			v := float64(rng.Intn(9) - 4)
+			w.Add(i, v)
+			put(i, oracle[i]+v)
+		case 2:
+			// Past the current length: the vector must grow.
+			i := int32(len(w.v)) + rng.Int31n(4)
+			v := float64(rng.Intn(9) - 4)
+			if rng.Intn(2) == 0 {
 				w.Set(i, v)
-				dense[i] = v
-			case 1:
-				i := rng.Int31n(width)
-				v := float64(rng.Intn(9) - 4)
+			} else {
 				w.Add(i, v)
-				dense[i] += v
-			case 2:
-				a := float64(rng.Intn(5) - 2)
-				x := randSparse(rng, 10, width)
-				w.AddSparse(a, x)
-				x.Range(func(i int32, v float64) { dense[i] += a * v })
-			case 3:
-				a := float64(rng.Intn(3))
-				w.Scale(a)
-				for i := range dense {
-					dense[i] *= a
+			}
+			put(i, oracle[i]+v)
+		case 3:
+			a := float64(rng.Intn(5) - 2)
+			x := randSparse(rng, 10, width)
+			w.AddSparse(a, x)
+			x.Range(func(i int32, v float64) { put(i, oracle[i]+a*v) })
+		case 4:
+			decay := []float64{1, 0.75, 0.5, 0}[rng.Intn(4)]
+			thresh := []float64{0, 0.25, 0.5, 1, 2}[rng.Intn(5)]
+			w.Shrink(decay, thresh)
+			for i, v := range oracle {
+				nv := math.Abs(v)*decay - thresh
+				if nv <= 0 {
+					delete(oracle, i)
+					continue
 				}
+				if v < 0 {
+					nv = -nv
+				}
+				oracle[i] = nv
 			}
 		}
+	}
 
-		nnz := 0
-		var l1, l2 float64
-		for i, v := range dense {
-			if got := w.At(int32(i)); !approxEq(got, v) {
-				t.Fatalf("trial %d: At(%d) = %g, dense %g", trial, i, got, v)
+	for trial := 0; trial < propertyTrials; trial++ {
+		w := NewWeights()
+		oracle := make(map[int32]float64)
+		for op := 0; op < 60; op++ {
+			if rng.Intn(10) > 0 {
+				mutate(w, oracle)
+				continue
 			}
-			if v != 0 {
-				nnz++
+			// Clone, then mutate the clone: the original keeps its
+			// values and its nonzero count, and either may go on.
+			c, co := w.Clone(), maps.Clone(oracle)
+			for k := rng.Intn(4); k >= 0; k-- {
+				mutate(c, co)
 			}
-			l1 += math.Abs(v)
-			l2 += v * v
+			checkWeights(t, trial, c, co)
+			checkWeights(t, trial, w, oracle)
+			if rng.Intn(2) == 0 {
+				w, oracle = c, co
+			}
 		}
-		// Integer-valued ops keep everything exact, so NNZ must agree
-		// (Set/Add delete exact zeros).
-		if w.NNZ() != nnz {
-			t.Fatalf("trial %d: NNZ = %d, dense %d", trial, w.NNZ(), nnz)
-		}
-		if !approxEq(w.L1(), l1) || !approxEq(w.L2(), math.Sqrt(l2)) {
-			t.Fatalf("trial %d: norms L1=%g/%g L2=%g/%g",
-				trial, w.L1(), l1, w.L2(), math.Sqrt(l2))
-		}
+		checkWeights(t, trial, w, oracle)
 
-		// Dot against a random probe.
-		x := randSparse(rng, 12, width)
+		// Margin against a random probe.
+		x := randSparse(rng, 12, width+8)
 		var want float64
-		x.Range(func(i int32, v float64) { want += dense[i] * v })
-		if got := w.Dot(x); !approxEq(got, want) {
-			t.Fatalf("trial %d: Dot = %g, dense %g", trial, got, want)
+		x.Range(func(i int32, v float64) { want += oracle[i] * v })
+		if got := w.Margin(x.Packed(), 0, nil); !approxEq(got, want) {
+			t.Fatalf("trial %d: Margin = %g, oracle %g", trial, got, want)
 		}
 
 		// ToSparse round-trips through FromCounts semantics.
-		sp := w.ToSparse()
-		if sp.NNZ() != w.NNZ() {
-			t.Fatalf("trial %d: ToSparse NNZ %d != %d", trial, sp.NNZ(), w.NNZ())
+		if sp := w.ToSparse(); !sp.Equal(FromCounts(oracle)) {
+			t.Fatalf("trial %d: ToSparse %v != oracle %v", trial, sp, FromCounts(oracle))
 		}
-		sp.Range(func(i int32, v float64) {
-			if v != w.At(i) {
-				t.Fatalf("trial %d: ToSparse[%d] = %g, want %g", trial, i, v, w.At(i))
-			}
-		})
+	}
+}
 
-		// Clone independence.
-		c := w.Clone()
-		c.Add(0, 1)
-		if approxEq(c.At(0), w.At(0)) {
-			t.Fatalf("trial %d: Clone shares storage", trial)
+// checkWeights asserts every observable of w against the map oracle:
+// At over the stored range and beyond, the nonzero counter, both norms,
+// cosine against an independent vector, and TopK.
+func checkWeights(t *testing.T, trial int, w *Weights, oracle map[int32]float64) {
+	t.Helper()
+	for i := int32(0); i < int32(len(w.v))+4; i++ {
+		if got := w.At(i); got != oracle[i] {
+			t.Fatalf("trial %d: At(%d) = %g, oracle %g", trial, i, got, oracle[i])
 		}
+	}
+	if w.NNZ() != len(oracle) {
+		t.Fatalf("trial %d: NNZ = %d, oracle %d", trial, w.NNZ(), len(oracle))
+	}
 
-		// TopK ordering: decreasing |weight|, index tiebreak, k-bounded.
-		top := w.TopK(5)
-		if len(top) > 5 || len(top) > w.NNZ() {
-			t.Fatalf("trial %d: TopK returned %d entries", trial, len(top))
-		}
-		for k := 1; k < len(top); k++ {
-			pa, pb := math.Abs(top[k-1].Weight), math.Abs(top[k].Weight)
-			if pa < pb || (pa == pb && top[k-1].Index >= top[k].Index) {
-				t.Fatalf("trial %d: TopK misordered at %d: %v", trial, k, top)
-			}
-		}
+	keys := make([]int32, 0, len(oracle))
+	for i := range oracle {
+		keys = append(keys, i)
+	}
+	slices.Sort(keys)
+	var l1, l2 float64
+	for _, i := range keys {
+		l1 += math.Abs(oracle[i])
+		l2 += oracle[i] * oracle[i]
+	}
+	if !approxEq(w.L1(), l1) || !approxEq(w.L2(), math.Sqrt(l2)) {
+		t.Fatalf("trial %d: norms L1=%g/%g L2=%g/%g", trial, w.L1(), l1, w.L2(), math.Sqrt(l2))
+	}
 
-		// Cosine symmetry and bounds against an independent vector.
-		o := NewWeights()
-		o.AddSparse(1, randSparse(rng, 12, width))
-		c1, c2 := w.Cosine(o), o.Cosine(w)
-		if !approxEq(c1, c2) {
-			t.Fatalf("trial %d: cosine asymmetric: %g vs %g", trial, c1, c2)
-		}
-		if c1 < -1-1e-12 || c1 > 1+1e-12 {
-			t.Fatalf("trial %d: cosine out of range: %g", trial, c1)
+	o := NewWeights()
+	probe := randSparse(rand.New(rand.NewSource(int64(trial))), 12, 64)
+	o.AddSparse(1, probe)
+	var dot float64
+	probe.Range(func(i int32, v float64) { dot += oracle[i] * v })
+	want := 0.0
+	if l2 > 0 && probe.L2() > 0 {
+		want = dot / (math.Sqrt(l2) * probe.L2())
+	}
+	c1, c2 := w.Cosine(o), o.Cosine(w)
+	if !approxEq(c1, want) || c1 != c2 {
+		t.Fatalf("trial %d: Cosine = %g / %g, oracle %g", trial, c1, c2, want)
+	}
+
+	// TopK: decreasing |weight|, index tiebreak, k-bounded.
+	all := make([]WeightedFeature, 0, len(keys))
+	for _, i := range keys {
+		all = append(all, WeightedFeature{Index: i, Weight: oracle[i]})
+	}
+	sort.SliceStable(all, func(a, b int) bool {
+		return math.Abs(all[a].Weight) > math.Abs(all[b].Weight)
+	})
+	for _, k := range []int{0, 1, 5, len(all) + 1} {
+		want := all[:min(k, len(all))]
+		if got := w.TopK(k); !slices.Equal(got, want) {
+			t.Fatalf("trial %d: TopK(%d) = %v, oracle %v", trial, k, got, want)
 		}
 	}
 }

@@ -1,7 +1,7 @@
 // Package vector provides the sparse linear algebra used by the online
 // learners and ranking models: immutable sorted sparse vectors for document
-// feature representations, and a mutable map-backed vector for model
-// weights whose feature space grows during extraction.
+// feature representations, and a mutable dense vector for model weights
+// whose feature space grows during extraction.
 package vector
 
 import (

@@ -4,105 +4,62 @@ import (
 	"cmp"
 	"math"
 	"slices"
-	"sync"
-	"sync/atomic"
 )
 
-// Weights is a mutable sparse weight vector backed by a map. It is the
-// representation of linear-model parameters whose feature space grows as
-// the extraction process observes new documents.
+// Weights is a mutable weight vector stored densely: v[i] is the weight
+// of feature i, indexed by the contiguous ids tokenize.Vocab assigns, and
+// the slice grows as the extraction process observes new features.
+// Features outside the support hold +0 (never −0), and nnz counts the
+// nonzero entries, so the model's support size is O(1) to read.
 //
-// For the scoring hot path, Weights additionally maintains a lazily built
-// dense mirror of the map (see MarginPacked): a flat []float64 indexed by
-// feature id that turns the per-feature map probe of Dot into one array
-// load. The mirror is invalidated by a generation counter bumped on every
-// mutation and rebuilt — reusing its previous capacity — on the next
-// MarginPacked call, so training pays one O(support) rebuild per update
-// epoch instead of a per-step maintenance cost, and steady-state scoring
-// allocates nothing.
+// Every fold over the vector runs in ascending index order, so norms,
+// similarities and margins are identical across runs.
 //
-// Concurrency: mutation (Set/Add/Scale/AddSparse) is single-threaded, as
-// before. MarginPacked may be called from many goroutines concurrently
-// with each other (the pipeline's score workers do), but never
-// concurrently with a mutation — the same contract the underlying map
-// already imposes.
+// Concurrency: mutation (Set/Add/AddSparse/Shrink) is single-threaded.
+// Reads (Margin, At, the norms) may run from many goroutines at once —
+// the pipeline's score workers do — but never concurrently with a
+// mutation.
 type Weights struct {
-	w map[int32]float64
-
-	// gen counts mutations; mirror is fresh while its gen matches.
-	gen      uint64
-	mirror   atomic.Pointer[denseMirror]
-	mirrorMu sync.Mutex
-}
-
-// denseMirror is one immutable-once-published dense snapshot of the map.
-type denseMirror struct {
-	gen  uint64
-	vals []float64
+	v   []float64
+	nnz int
 }
 
 // NewWeights returns an empty weight vector.
-func NewWeights() *Weights { return &Weights{w: make(map[int32]float64)} }
+func NewWeights() *Weights { return &Weights{} }
 
-// Clone returns a deep copy of w. The clone starts without a dense
-// mirror; it is rebuilt on the clone's first MarginPacked call.
-func (w *Weights) Clone() *Weights {
-	c := &Weights{w: make(map[int32]float64, len(w.w))}
-	for i, v := range w.w {
-		c.w[i] = v
+// Clone returns a deep copy of w.
+func (w *Weights) Clone() *Weights { return &Weights{v: slices.Clone(w.v), nnz: w.nnz} }
+
+// At returns the weight of feature i (0 outside the stored range).
+func (w *Weights) At(i int32) float64 {
+	if uint(i) < uint(len(w.v)) {
+		return w.v[i]
 	}
-	return c
+	return 0
 }
 
-// sortedIndices returns the stored feature indices in increasing order.
-// The norm and similarity folds below iterate in this order because
-// float addition is not associative: summing in Go's randomized map
-// order would make L1/L2/Cosine — and every detector trigger decision
-// derived from them — differ in the last ulps between identical runs.
-func (w *Weights) sortedIndices() []int32 {
-	idx := make([]int32, 0, len(w.w))
-	//lint:allow detrand index collection is sorted immediately below
-	for i := range w.w {
-		idx = append(idx, i)
-	}
-	slices.Sort(idx)
-	return idx
-}
-
-// At returns the weight of feature i (0 when absent).
-func (w *Weights) At(i int32) float64 { return w.w[i] }
-
-// Set assigns the weight of feature i; setting 0 removes the entry so that
-// the model stays sparse (the basis of in-training feature selection).
+// Set assigns the weight of feature i. Setting 0 takes the feature out of
+// the support, so the model stays sparse (the basis of in-training
+// feature selection).
 func (w *Weights) Set(i int32, v float64) {
-	w.gen++
-	if v == 0 {
-		delete(w.w, i)
-		return
+	if int(i) >= len(w.v) {
+		w.v = append(w.v, make([]float64, int(i)+1-len(w.v))...)
 	}
-	w.w[i] = v
+	if w.v[i] == 0 {
+		w.nnz++
+	}
+	if v == 0 {
+		w.nnz--
+		v = 0 // store +0, never −0
+	}
+	w.v[i] = v
 }
 
 // Add accumulates v into feature i.
-func (w *Weights) Add(i int32, v float64) { w.Set(i, w.w[i]+v) }
+func (w *Weights) Add(i int32, v float64) { w.Set(i, w.At(i)+v) }
 
 // NNZ reports the number of features with non-zero weight.
-func (w *Weights) NNZ() int { return len(w.w) }
-
-// Scale multiplies every weight by a. Scaling by 0 clears the vector.
-func (w *Weights) Scale(a float64) {
-	if a == 1 {
-		return
-	}
-	w.gen++
-	if a == 0 {
-		w.w = make(map[int32]float64)
-		return
-	}
-	for i, v := range w.w {
-		w.w[i] = v * a
-	}
-}
+func (w *Weights) NNZ() int { return w.nnz }
 
 // AddSparse accumulates a*x into w.
 func (w *Weights) AddSparse(a float64, x Sparse) {
@@ -114,136 +71,129 @@ func (w *Weights) AddSparse(a float64, x Sparse) {
 	}
 }
 
-// Dot returns the inner product of w with a sparse vector.
-func (w *Weights) Dot(x Sparse) float64 {
-	var sum float64
-	for k, i := range x.idx {
-		if wi, ok := w.w[i]; ok {
-			sum += wi * x.val[k]
+// Shrink applies the elastic-net proximal step
+// w_i <- sign(w_i) * max(0, |w_i|*decay - thresh) to every weight: an L2
+// decay followed by an L1 soft threshold. Weights that reach zero leave
+// the support.
+func (w *Weights) Shrink(decay, thresh float64) {
+	if decay == 1 && thresh == 0 {
+		return
+	}
+	for i, v := range w.v {
+		if v == 0 {
+			continue
 		}
-	}
-	return sum
-}
-
-// L2 returns the Euclidean norm of the weight vector. The fold runs in
-// sorted index order so the result is identical across runs.
-func (w *Weights) L2() float64 {
-	var sum float64
-	for _, i := range w.sortedIndices() {
-		v := w.w[i]
-		sum += v * v
-	}
-	return math.Sqrt(sum)
-}
-
-// L1 returns the L1 norm of the weight vector, folded in sorted index
-// order for run-to-run determinism.
-func (w *Weights) L1() float64 {
-	var sum float64
-	for _, i := range w.sortedIndices() {
-		sum += math.Abs(w.w[i])
-	}
-	return sum
-}
-
-// Cosine returns the cosine similarity between two weight vectors, and 0
-// when either is a zero vector.
-func (w *Weights) Cosine(o *Weights) float64 {
-	nw, no := w.L2(), o.L2()
-	if nw == 0 || no == 0 {
-		return 0
-	}
-	var dot float64
-	// Iterate over the smaller map, in sorted index order: the dot
-	// product feeds Mod-C's trigger angle, where ulp-level drift from
-	// randomized iteration order could flip a threshold decision.
-	a, b := w, o
-	if len(b.w) < len(a.w) {
-		a, b = b, a
-	}
-	for _, i := range a.sortedIndices() {
-		if u, ok := b.w[i]; ok {
-			dot += a.w[i] * u
+		nv := math.Abs(v)*decay - thresh
+		if nv <= 0 {
+			w.v[i] = 0
+			w.nnz--
+			continue
 		}
+		if v < 0 {
+			nv = -nv
+		}
+		w.v[i] = nv
 	}
-	return dot / (nw * no)
 }
 
-// MarginPacked returns w·x + bias through the dense-accumulator fast
-// path: one array load per stored document feature instead of one map
-// probe. Because x's indices are sorted ascending, the loop breaks at the
-// first index beyond the mirror (every later index is absent from the
-// model too), so the per-element branch is uniformly predictable.
+// Margin is the one margin kernel: it returns w·x + bias, folding the
+// products w_i·x_i in ascending index order. Training's hinge test,
+// scoring and attribution all get their margin from this one fold, so
+// they agree bit for bit. Because x's indices are sorted, the fold stops
+// at the first index past the stored range (every later product is zero
+// too).
 //
-// The result is bitwise identical to Dot(x)+bias: both fold the matching
-// features in ascending index order, and the extra terms the dense path
-// adds for absent features are exact zeros (0·v), which cannot perturb an
-// IEEE sum.
-func (w *Weights) MarginPacked(x Packed, bias float64) float64 {
-	d := w.denseVals()
+// When visit is non-nil, a second pass over the same products reports
+// every nonzero one to it, in fold order. (Keeping the callback check out
+// of the fold keeps scoring's loop tight.) The products it does not
+// receive are exact zeros, and the running sum can never be −0 (it starts
+// at +0 and cancellation yields +0 under round-to-nearest), so folding the
+// visited products in call order and adding bias reconstructs the
+// returned margin bit for bit.
+func (w *Weights) Margin(x Packed, bias float64, visit func(i int32, c float64)) float64 {
+	d := w.v
 	n := int32(len(d))
-	var sum float64
 	idx := x.Idx
 	val := x.Val
+	var sum float64
 	for k, i := range idx {
 		if i >= n {
 			break
 		}
 		sum += d[i] * val[k]
 	}
+	if visit != nil {
+		for k, i := range idx {
+			if i >= n {
+				break
+			}
+			if c := d[i] * val[k]; c != 0 {
+				visit(i, c)
+			}
+		}
+	}
 	return sum + bias
 }
 
-// denseVals returns a dense snapshot of the map, rebuilding it only when
-// a mutation has happened since the last build. The double-checked
-// atomic/mutex dance makes concurrent first calls after an update race-
-// free; the steady-state path is one atomic load and one comparison.
-func (w *Weights) denseVals() []float64 {
-	gen := w.gen
-	if m := w.mirror.Load(); m != nil && m.gen == gen {
-		return m.vals
+// L2 returns the Euclidean norm of the weight vector.
+func (w *Weights) L2() float64 {
+	var sum float64
+	for _, v := range w.v {
+		sum += v * v
 	}
-	w.mirrorMu.Lock()
-	defer w.mirrorMu.Unlock()
-	if m := w.mirror.Load(); m != nil && m.gen == gen {
-		return m.vals
-	}
-	// Reusing the stale mirror's capacity is safe: a stale mirror implies
-	// a mutation happened, and mutations are never concurrent with
-	// readers, so no goroutine can still be walking the old snapshot.
-	var vals []float64
-	if old := w.mirror.Load(); old != nil {
-		vals = old.vals
-	}
-	need := 0
-	for i := range w.w {
-		if int(i) >= need {
-			need = int(i) + 1
-		}
-	}
-	if cap(vals) < need {
-		vals = make([]float64, need)
-	} else {
-		vals = vals[:need]
-		clear(vals)
-	}
-	for i, v := range w.w {
-		vals[i] = v
-	}
-	w.mirror.Store(&denseMirror{gen: gen, vals: vals})
-	return vals
+	return math.Sqrt(sum)
 }
 
-// Range calls f for every stored (index, weight) pair in unspecified order.
+// L1 returns the L1 norm of the weight vector.
+func (w *Weights) L1() float64 {
+	var sum float64
+	for _, v := range w.v {
+		sum += math.Abs(v)
+	}
+	return sum
+}
+
+// Cosine returns the cosine similarity between two weight vectors, and 0
+// when either is a zero vector. The dot product — Mod-C's trigger angle —
+// folds in ascending index order over the shorter vector's range.
+func (w *Weights) Cosine(o *Weights) float64 {
+	nw, no := w.L2(), o.L2()
+	if nw == 0 || no == 0 {
+		return 0
+	}
+	a, b := w.v, o.v
+	if len(b) < len(a) {
+		a, b = b, a
+	}
+	b = b[:len(a)]
+	var dot float64
+	for i, u := range a {
+		dot += u * b[i]
+	}
+	return dot / (nw * no)
+}
+
+// Range calls f for every nonzero (index, weight) pair in ascending index
+// order.
 func (w *Weights) Range(f func(i int32, v float64)) {
-	for i, v := range w.w {
-		f(i, v)
+	for i, v := range w.v {
+		if v != 0 {
+			f(int32(i), v)
+		}
 	}
 }
 
 // ToSparse snapshots the weight vector as an immutable sparse vector.
 func (w *Weights) ToSparse() Sparse {
-	return FromCounts(w.w)
+	idx := make([]int32, 0, w.nnz)
+	val := make([]float64, 0, w.nnz)
+	for i, v := range w.v {
+		if v != 0 {
+			idx = append(idx, int32(i))
+			val = append(val, v)
+		}
+	}
+	return Sparse{idx: idx, val: val}
 }
 
 // WeightedFeature pairs a feature index with a weight for ranking reports.
@@ -255,10 +205,11 @@ type WeightedFeature struct {
 // TopK returns the k features with largest absolute weight, ordered by
 // decreasing |weight| with index as tiebreaker for determinism.
 func (w *Weights) TopK(k int) []WeightedFeature {
-	all := make([]WeightedFeature, 0, len(w.w))
-	//lint:allow detrand collection order is erased by the sort below
-	for i, v := range w.w {
-		all = append(all, WeightedFeature{Index: i, Weight: v})
+	all := make([]WeightedFeature, 0, w.nnz)
+	for i, v := range w.v {
+		if v != 0 {
+			all = append(all, WeightedFeature{Index: int32(i), Weight: v})
+		}
 	}
 	slices.SortFunc(all, absDescByIndex)
 	if k < len(all) {

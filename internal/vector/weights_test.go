@@ -39,26 +39,13 @@ func TestWeightsCloneIndependence(t *testing.T) {
 	}
 }
 
-func TestWeightsScale(t *testing.T) {
-	w := NewWeights()
-	w.Set(1, 4)
-	w.Scale(0.5)
-	if w.At(1) != 2 {
-		t.Errorf("At(1) = %g after Scale(0.5), want 2", w.At(1))
-	}
-	w.Scale(0)
-	if w.NNZ() != 0 {
-		t.Error("Scale(0) must clear the vector")
-	}
-}
-
 func TestWeightsDotMatchesSparseDot(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		a, b := randomSparse(r), randomSparse(r)
 		w := NewWeights()
 		a.Range(func(i int32, v float64) { w.Set(i, v) })
-		return math.Abs(w.Dot(b)-a.Dot(b)) < 1e-9
+		return math.Abs(w.Margin(b.Packed(), 0, nil)-a.Dot(b)) < 1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
