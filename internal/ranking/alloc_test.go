@@ -88,6 +88,13 @@ func TestScoringAllocBudgets(t *testing.T) {
 		svm.Step(docs[i%len(docs)], float64(1-2*(i%2)))
 		i++
 	})
+
+	// Top-K selection into a warmed buffer (the Top-K detector's
+	// per-step recompute): only the k kept features are held.
+	var top []vector.WeightedFeature
+	assertZeroAllocs(t, "Weights.AppendTopK", func() {
+		top = svm.Weights().AppendTopK(top[:0], 200)
+	})
 }
 
 // TestMarginPackedAllocBudget pins the margin kernel itself, on a weight

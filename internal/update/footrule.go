@@ -1,8 +1,9 @@
 package update
 
 import (
+	"cmp"
 	"math"
-	"sort"
+	"slices"
 
 	"adaptiverank/internal/vector"
 )
@@ -23,64 +24,80 @@ import (
 // the lists' total weight, so the distance lies in [0,1] and the threshold
 // tau is scale-free (the raw SVM weight magnitudes drift as training
 // progresses, which would otherwise change what a fixed tau means).
+// Each list names a feature at most once, as Weights.TopK lists do.
 func Footrule(a, b []vector.WeightedFeature) float64 {
-	posA, totalA := prefixPositions(a)
-	posB, totalB := prefixPositions(b)
+	var s footrule
+	return s.distance(a, b)
+}
+
+// footrule evaluates Footrule over two id-sorted prefix tables that it
+// owns and reuses, so a warm evaluator allocates nothing.
+type footrule struct{ a, b []prefixEntry }
+
+// prefixEntry is one feature of a ranked list: its id, half its |weight|
+// (its share of the feature's mean weight across the two lists), and the
+// cumulative |weight| of the list up to and including it.
+type prefixEntry struct {
+	id        int32
+	half, cum float64
+}
+
+func (s *footrule) distance(a, b []vector.WeightedFeature) float64 {
+	ta, totalA := prefixTable(s.a[:0], a)
+	tb, totalB := prefixTable(s.b[:0], b)
+	s.a, s.b = ta, tb
 	if totalA == 0 && totalB == 0 {
 		return 0
 	}
 
-	universe := make(map[int32]float64)
 	var wTotal float64
 	for _, f := range a {
-		universe[f.Index] += math.Abs(f.Weight) / 2
 		wTotal += math.Abs(f.Weight) / 2
 	}
 	for _, f := range b {
-		universe[f.Index] += math.Abs(f.Weight) / 2
 		wTotal += math.Abs(f.Weight) / 2
 	}
 	if wTotal == 0 {
 		return 0
 	}
 
-	// Fold in sorted feature order: the distance feeds Top-K's trigger
-	// comparison against tau, and float addition over Go's randomized
-	// map order would make identical runs disagree in the last ulps.
-	idxs := make([]int32, 0, len(universe))
-	//lint:allow detrand index collection is sorted immediately below
-	for idx := range universe {
-		idxs = append(idxs, idx)
-	}
-	sort.Slice(idxs, func(i, j int) bool { return idxs[i] < idxs[j] })
+	// Merge the tables in ascending id order: the distance feeds Top-K's
+	// trigger comparison against tau, so the fold order is fixed.
 	var d float64
-	for _, idx := range idxs {
-		w := universe[idx]
+	for i, j := 0, 0; i < len(ta) || j < len(tb); {
+		inA := i < len(ta) && (j == len(tb) || ta[i].id <= tb[j].id)
+		inB := j < len(tb) && (i == len(ta) || tb[j].id <= ta[i].id)
+		var w float64
 		pa, pb := 1.0, 1.0
-		if totalA > 0 {
-			if p, ok := posA[idx]; ok {
-				pa = p / totalA
+		if inA {
+			w += ta[i].half
+			if totalA > 0 {
+				pa = ta[i].cum / totalA
 			}
+			i++
 		}
-		if totalB > 0 {
-			if p, ok := posB[idx]; ok {
-				pb = p / totalB
+		if inB {
+			w += tb[j].half
+			if totalB > 0 {
+				pb = tb[j].cum / totalB
 			}
+			j++
 		}
 		d += (w / wTotal) * math.Abs(pa-pb)
 	}
 	return d
 }
 
-// prefixPositions maps each feature to the cumulative |weight| of all
-// features ranked at or before it (lists arrive sorted by decreasing
-// |weight| from vector.Weights.TopK), and returns the total weight.
-func prefixPositions(list []vector.WeightedFeature) (map[int32]float64, float64) {
-	pos := make(map[int32]float64, len(list))
+// prefixTable appends list's prefix entries to tab, sorted by id, and
+// returns them with the list's total weight. Cumulative weights follow
+// the list's own order (lists arrive sorted by decreasing |weight| from
+// vector.Weights.TopK).
+func prefixTable(tab []prefixEntry, list []vector.WeightedFeature) ([]prefixEntry, float64) {
 	var cum float64
 	for _, f := range list {
 		cum += math.Abs(f.Weight)
-		pos[f.Index] = cum
+		tab = append(tab, prefixEntry{id: f.Index, half: math.Abs(f.Weight) / 2, cum: cum})
 	}
-	return pos, cum
+	slices.SortFunc(tab, func(x, y prefixEntry) int { return cmp.Compare(x.id, y.id) })
+	return tab, cum
 }

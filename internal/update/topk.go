@@ -27,6 +27,15 @@ type TopK struct {
 
 	side *learn.OnlineSVM
 	ref  []vector.WeightedFeature
+	// cur is the side classifier's top-K list, and LastDistance its
+	// footrule from ref, as of side step count curSteps. Both can change
+	// only when the side classifier steps (on a balanced pair) or ref is
+	// re-baselined, so observations in between reuse them; Reset sets
+	// curSteps to -1 to force a recompute. Keying on the step count also
+	// catches steps taken through SideModel.
+	cur      []vector.WeightedFeature
+	curSteps int
+	fr       footrule
 	// Label-balancing holdback queues: the raw document stream is
 	// heavily skewed toward useless documents, under which an
 	// L1-regularized classifier collapses to the empty model. The side
@@ -74,9 +83,10 @@ func NewTopK(opts TopKOptions) *TopK {
 		opts.LambdaL2 = 0.99
 	}
 	return &TopK{
-		K:    opts.K,
-		Tau:  opts.Tau,
-		side: learn.NewOnlineSVM(learn.ElasticNet{LambdaAll: opts.LambdaAll, LambdaL2: opts.LambdaL2}, true),
+		K:        opts.K,
+		Tau:      opts.Tau,
+		side:     learn.NewOnlineSVM(learn.ElasticNet{LambdaAll: opts.LambdaAll, LambdaL2: opts.LambdaL2}, true),
+		curSteps: -1,
 	}
 }
 
@@ -132,14 +142,15 @@ func (t *TopK) feed(x vector.Sparse, useful bool) {
 // document and compare top-K feature lists.
 func (t *TopK) Observe(x vector.Sparse, useful bool) bool {
 	t.feed(x, useful)
-	cur := t.side.Weights().TopK(t.K)
-	t.LastDistance = Footrule(t.ref, cur)
+	if t.side.Steps() != t.curSteps {
+		t.recompute()
+	}
 	fired := t.LastDistance > t.Tau
 	if t.obsDist != nil {
 		t.obsDist.Observe(t.LastDistance)
 	}
 	if t.rec != nil && t.rec.Enabled() {
-		entered, left, displaced := topKEvidence(t.ref, cur)
+		entered, left, displaced := topKEvidence(t.ref, t.cur)
 		t.rec.Record(obs.Event{Kind: obs.KindDetectorDecision, Name: t.Name(),
 			Val: t.LastDistance, Fired: fired, Span: t.tr.ScopeID(),
 			Attrs: []obs.Attr{
@@ -151,6 +162,14 @@ func (t *TopK) Observe(x vector.Sparse, useful bool) bool {
 			}})
 	}
 	return fired
+}
+
+// recompute refreshes cur and LastDistance from the side classifier's
+// current weights, reusing the detector's buffers.
+func (t *TopK) recompute() {
+	t.cur = t.side.Weights().AppendTopK(t.cur[:0], t.K)
+	t.LastDistance = t.fr.distance(t.ref, t.cur)
+	t.curSteps = t.side.Steps()
 }
 
 // topKEvidence compares the reference and current top-K feature lists:
@@ -213,7 +232,8 @@ func topKEvidence(ref, cur []vector.WeightedFeature) (entered, left int, displac
 
 // Reset implements Detector: re-baseline the reference list.
 func (t *TopK) Reset() {
-	t.ref = t.side.Weights().TopK(t.K)
+	t.ref = t.side.Weights().AppendTopK(t.ref[:0], t.K)
+	t.curSteps = -1
 }
 
 // SideModel exposes the side classifier (used by the search-interface

@@ -3,6 +3,7 @@ package update
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -61,7 +62,69 @@ func TestFootruleEmptyLists(t *testing.T) {
 	}
 }
 
+// referenceFootrule computes Footrule directly from maps keyed by
+// feature: halves accumulate per feature in list order (a, then b), and
+// the distance folds in ascending id. It is the bitwise reference for the
+// prefix-table merge.
+func referenceFootrule(a, b []vector.WeightedFeature) float64 {
+	prefix := func(list []vector.WeightedFeature) (map[int32]float64, float64) {
+		pos := make(map[int32]float64, len(list))
+		var cum float64
+		for _, f := range list {
+			cum += math.Abs(f.Weight)
+			pos[f.Index] = cum
+		}
+		return pos, cum
+	}
+	posA, totalA := prefix(a)
+	posB, totalB := prefix(b)
+	if totalA == 0 && totalB == 0 {
+		return 0
+	}
+	universe := make(map[int32]float64)
+	var wTotal float64
+	for _, f := range a {
+		universe[f.Index] += math.Abs(f.Weight) / 2
+		wTotal += math.Abs(f.Weight) / 2
+	}
+	for _, f := range b {
+		universe[f.Index] += math.Abs(f.Weight) / 2
+		wTotal += math.Abs(f.Weight) / 2
+	}
+	if wTotal == 0 {
+		return 0
+	}
+	idxs := make([]int32, 0, len(universe))
+	for idx := range universe {
+		idxs = append(idxs, idx)
+	}
+	slices.Sort(idxs)
+	var d float64
+	for _, idx := range idxs {
+		w := universe[idx]
+		pa, pb := 1.0, 1.0
+		if totalA > 0 {
+			if p, ok := posA[idx]; ok {
+				pa = p / totalA
+			}
+		}
+		if totalB > 0 {
+			if p, ok := posB[idx]; ok {
+				pb = p / totalB
+			}
+		}
+		d += (w / wTotal) * math.Abs(pa-pb)
+	}
+	return d
+}
+
+// TestQuickFootruleBounded draws small integer-weighted lists over 20 ids,
+// so ties, overlapping, disjoint and empty lists all occur, and checks the
+// distance lies in [0,1] and equals the reference bit for bit — both
+// through Footrule and through one evaluator reused across trials, whose
+// tables hold the previous trial's entries.
 func TestQuickFootruleBounded(t *testing.T) {
+	var fr footrule
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		gen := func() []vector.WeightedFeature {
@@ -74,7 +137,16 @@ func TestQuickFootruleBounded(t *testing.T) {
 			out = append(out, w.TopK(n)...)
 			return out
 		}
-		d := Footrule(gen(), gen())
+		a, b := gen(), gen()
+		d, want := Footrule(a, b), referenceFootrule(a, b)
+		if math.Float64bits(d) != math.Float64bits(want) {
+			t.Logf("Footrule(%v, %v) = %v, reference %v", a, b, d, want)
+			return false
+		}
+		if reused := fr.distance(a, b); math.Float64bits(reused) != math.Float64bits(want) {
+			t.Logf("reused evaluator on (%v, %v) = %v, reference %v", a, b, reused, want)
+			return false
+		}
 		return d >= 0 && d <= 1+1e-9
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -142,6 +214,96 @@ func TestTopKStableStreamNoImmediateTrigger(t *testing.T) {
 	tk.Prime(xs, ys)
 	if tk.Observe(mk(), true) {
 		t.Errorf("stationary stream triggered immediately (distance %.3f)", tk.LastDistance)
+	}
+}
+
+// topKStream returns a labelled document source for Top-K tests:
+// useful documents carry features from the five ids starting at base,
+// useless ones from ids 40–44, and both one noise id from 50–59.
+func topKStream(r *rand.Rand) func(useful bool, base int) vector.Sparse {
+	return func(useful bool, base int) vector.Sparse {
+		lo := 40
+		if useful {
+			lo = base
+		}
+		return feats(lo+r.Intn(5), 1, lo+r.Intn(5), 1, 50+r.Intn(10), 1)
+	}
+}
+
+// primedTopK returns a Top-K detector primed on a balanced sample of
+// topKStream documents, and the stream.
+func primedTopK(r *rand.Rand, k int) (*TopK, func(useful bool, base int) vector.Sparse) {
+	tk := NewTopK(TopKOptions{K: k, Tau: 0.2})
+	doc := topKStream(r)
+	var xs []vector.Sparse
+	var ys []bool
+	for i := 0; i < 60; i++ {
+		xs = append(xs, doc(i%2 == 0, 0))
+		ys = append(ys, i%2 == 0)
+	}
+	tk.Prime(xs, ys)
+	return tk, doc
+}
+
+// TestTopKCachedDistanceMatchesRecompute drives one detector through
+// balanced stretches (the side classifier steps) and one-sided runs (it
+// does not), with a Reset after every fire and at fixed points, and steps
+// taken directly through SideModel between observations. After every
+// observation the distance must equal, bit for bit, the footrule of the
+// last reference against the side classifier's current top-K computed
+// from scratch, and the decision must be that distance against tau.
+func TestTopKCachedDistanceMatchesRecompute(t *testing.T) {
+	r := rand.New(rand.NewSource(3))
+	tk, doc := primedTopK(r, 10)
+	ref := tk.SideModel().Weights().TopK(tk.K)
+	var unstepped, direct, fires, resets int
+	for i := 0; i < 1500; i++ {
+		base := 5 * (i / 250) // the useful region drifts, so the top-K moves
+		// 20-observation blocks alternate balanced labels with one-sided
+		// runs of useless documents, which only fill the holdback queue.
+		useful := (i/20)%2 == 0 && i%2 == 0
+		if i%9 == 4 {
+			tk.SideModel().Step(doc(i%2 == 0, base), float64(1-2*(i%2)))
+			direct++
+		}
+		before := tk.SideModel().Steps()
+		fired := tk.Observe(doc(useful, base), useful)
+		if tk.SideModel().Steps() == before {
+			unstepped++
+		}
+		want := referenceFootrule(ref, tk.SideModel().Weights().TopK(tk.K))
+		if math.Float64bits(tk.LastDistance) != math.Float64bits(want) {
+			t.Fatalf("observation %d: LastDistance = %v, recomputed %v", i, tk.LastDistance, want)
+		}
+		if fired != (tk.LastDistance > tk.Tau) {
+			t.Fatalf("observation %d: fired = %v at distance %v, tau %v", i, fired, tk.LastDistance, tk.Tau)
+		}
+		if fired {
+			fires++
+		}
+		if fired || i%50 == 49 {
+			tk.Reset()
+			resets++
+			ref = tk.SideModel().Weights().TopK(tk.K)
+		}
+	}
+	if unstepped == 0 || fires == 0 {
+		t.Fatalf("stream exercised %d unstepped observations and %d fires; want both > 0", unstepped, fires)
+	}
+	t.Logf("%d unstepped observations, %d direct steps, %d fires, %d resets", unstepped, direct, fires, resets)
+}
+
+// TestTopKRecomputeAllocs pins the recompute — top-K selection into the
+// detector's list buffer plus the footrule over its own tables — at zero
+// allocations once the buffers are warm.
+func TestTopKRecomputeAllocs(t *testing.T) {
+	tk, _ := primedTopK(rand.New(rand.NewSource(4)), 10)
+	if nnz := tk.SideModel().Weights().NNZ(); nnz <= tk.K {
+		t.Fatalf("side model holds %d features; want more than K=%d so selection discards some", nnz, tk.K)
+	}
+	tk.recompute()
+	if n := testing.AllocsPerRun(100, tk.recompute); n != 0 {
+		t.Errorf("Top-K recompute allocates %.2f times per run, want 0", n)
 	}
 }
 

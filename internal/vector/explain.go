@@ -7,10 +7,7 @@ package vector
 // artifacts that the byte-identity tests compare across runs, so they
 // are held to the same determinism bar as the detector statistics.
 
-import (
-	"math"
-	"slices"
-)
+import "math"
 
 // DriftStats summarizes how a weight vector moved between two training
 // snapshots: norms of the difference vector, directional similarity,
@@ -57,15 +54,11 @@ func Drift(prev, cur *Weights) DriftStats {
 // prev and cur, ordered by decreasing |Δweight| with index as
 // tiebreaker; Weight carries the signed delta cur−prev.
 func TopMovers(prev, cur *Weights, k int) []WeightedFeature {
-	movers := make([]WeightedFeature, 0, prev.nnz+cur.nnz)
+	s := selection{k: k}
 	for i := range int32(max(len(prev.v), len(cur.v))) {
 		if d := cur.At(i) - prev.At(i); d != 0 {
-			movers = append(movers, WeightedFeature{Index: i, Weight: d})
+			s.offer(WeightedFeature{Index: i, Weight: d})
 		}
 	}
-	slices.SortFunc(movers, absDescByIndex)
-	if k < len(movers) {
-		movers = movers[:k]
-	}
-	return movers
+	return s.sorted()
 }

@@ -206,6 +206,7 @@ func TestPropertyWeightsMatchDense(t *testing.T) {
 			}
 			checkWeights(t, trial, c, co)
 			checkWeights(t, trial, w, oracle)
+			checkMovers(t, trial, w, oracle, c, co)
 			if rng.Intn(2) == 0 {
 				w, oracle = c, co
 			}
@@ -269,18 +270,77 @@ func checkWeights(t *testing.T, trial int, w *Weights, oracle map[int32]float64)
 		t.Fatalf("trial %d: Cosine = %g / %g, oracle %g", trial, c1, c2, want)
 	}
 
-	// TopK: decreasing |weight|, index tiebreak, k-bounded.
+	// TopK: decreasing |weight|, index tiebreak, k-bounded. Also appended
+	// after kept entries, into a buffer whose spare capacity holds stale
+	// ones, and as TopMovers from the zero vector, whose deltas are the
+	// weights themselves.
 	all := make([]WeightedFeature, 0, len(keys))
 	for _, i := range keys {
 		all = append(all, WeightedFeature{Index: i, Weight: oracle[i]})
 	}
-	sort.SliceStable(all, func(a, b int) bool {
-		return math.Abs(all[a].Weight) > math.Abs(all[b].Weight)
-	})
-	for _, k := range []int{0, 1, 5, len(all) + 1} {
-		want := all[:min(k, len(all))]
+	kept := []WeightedFeature{{Index: -1, Weight: 99}, {Index: -2, Weight: -99}}
+	stale := make([]WeightedFeature, len(all)+1)
+	for _, k := range topKBounds(len(all)) {
+		want := sortTruncate(all, k)
 		if got := w.TopK(k); !slices.Equal(got, want) {
 			t.Fatalf("trial %d: TopK(%d) = %v, oracle %v", trial, k, got, want)
 		}
+		got := w.AppendTopK(slices.Clip(kept), k)
+		if !slices.Equal(got[:len(kept)], kept) || !slices.Equal(got[len(kept):], want) {
+			t.Fatalf("trial %d: AppendTopK(kept, %d) = %v, oracle %v after %v", trial, k, got, want, kept)
+		}
+		for i := range stale {
+			stale[i] = WeightedFeature{Index: int32(1000 + i), Weight: 1e9}
+		}
+		if got := w.AppendTopK(stale[:0], k); !slices.Equal(got, want) {
+			t.Fatalf("trial %d: AppendTopK(stale, %d) = %v, oracle %v", trial, k, got, want)
+		}
+		if got := TopMovers(NewWeights(), w, k); !slices.Equal(got, want) {
+			t.Fatalf("trial %d: TopMovers(0, w, %d) = %v, oracle %v", trial, k, got, want)
+		}
 	}
+}
+
+// checkMovers asserts TopMovers(prev, cur, k) against sorting every
+// nonzero delta cur−prev of the map oracles and truncating.
+func checkMovers(t *testing.T, trial int, prev *Weights, po map[int32]float64, cur *Weights, co map[int32]float64) {
+	t.Helper()
+	union := maps.Clone(po)
+	maps.Copy(union, co)
+	keys := make([]int32, 0, len(union))
+	for i := range union {
+		keys = append(keys, i)
+	}
+	slices.Sort(keys)
+	var deltas []WeightedFeature
+	for _, i := range keys {
+		if d := co[i] - po[i]; d != 0 {
+			deltas = append(deltas, WeightedFeature{Index: i, Weight: d})
+		}
+	}
+	for _, k := range topKBounds(len(deltas)) {
+		if got, want := TopMovers(prev, cur, k), sortTruncate(deltas, k); !slices.Equal(got, want) {
+			t.Fatalf("trial %d: TopMovers(%d) = %v, oracle %v", trial, k, got, want)
+		}
+	}
+}
+
+// topKBounds lists the k values worth checking for a selection over n
+// candidates: empty, single, a middle cut, and both sides of n.
+func topKBounds(n int) []int {
+	ks := []int{0, 1, 5, n, n + 1}
+	if n > 0 {
+		ks = append(ks, n-1)
+	}
+	return ks
+}
+
+// sortTruncate is the selection oracle: fs in ascending index order,
+// stably sorted by decreasing |weight| (so index breaks ties) and cut to k.
+func sortTruncate(fs []WeightedFeature, k int) []WeightedFeature {
+	out := slices.Clone(fs)
+	sort.SliceStable(out, func(a, b int) bool {
+		return math.Abs(out[a].Weight) > math.Abs(out[b].Weight)
+	})
+	return out[:min(k, len(out))]
 }

@@ -204,18 +204,71 @@ type WeightedFeature struct {
 
 // TopK returns the k features with largest absolute weight, ordered by
 // decreasing |weight| with index as tiebreaker for determinism.
-func (w *Weights) TopK(k int) []WeightedFeature {
-	all := make([]WeightedFeature, 0, w.nnz)
+func (w *Weights) TopK(k int) []WeightedFeature { return w.AppendTopK(nil, k) }
+
+// AppendTopK appends w's top k features, in TopK's order, to dst and
+// returns the extended slice. The scan keeps only the k best features
+// seen so far, so it costs O(nnz·log k), and appending into a buffer with
+// room for them allocates nothing.
+func (w *Weights) AppendTopK(dst []WeightedFeature, k int) []WeightedFeature {
+	s := selection{dst: dst, base: len(dst), k: k}
 	for i, v := range w.v {
 		if v != 0 {
-			all = append(all, WeightedFeature{Index: int32(i), Weight: v})
+			s.offer(WeightedFeature{Index: int32(i), Weight: v})
 		}
 	}
-	slices.SortFunc(all, absDescByIndex)
-	if k < len(all) {
-		all = all[:k]
+	return s.sorted()
+}
+
+// selection appends to dst the k best features offered to it under
+// absDescByIndex. While offers arrive, dst[base:] is a heap whose root
+// is the worst feature kept, so a feature that cannot enter costs one
+// comparison.
+type selection struct {
+	dst     []WeightedFeature
+	base, k int
+}
+
+// offer considers f for the selection.
+func (s *selection) offer(f WeightedFeature) {
+	h := s.dst[s.base:]
+	if len(h) < s.k {
+		s.dst = append(s.dst, f)
+		h = s.dst[s.base:]
+		for i := len(h) - 1; i > 0; {
+			p := (i - 1) / 2
+			if absDescByIndex(h[p], h[i]) > 0 {
+				break
+			}
+			h[p], h[i] = h[i], h[p]
+			i = p
+		}
+		return
 	}
-	return all
+	if len(h) == 0 || absDescByIndex(f, h[0]) > 0 {
+		return
+	}
+	h[0] = f
+	for i := 0; ; {
+		c := 2*i + 1
+		if c >= len(h) {
+			break
+		}
+		if r := c + 1; r < len(h) && absDescByIndex(h[r], h[c]) > 0 {
+			c = r
+		}
+		if absDescByIndex(h[c], h[i]) < 0 {
+			break
+		}
+		h[i], h[c] = h[c], h[i]
+		i = c
+	}
+}
+
+// sorted returns dst with the selected features appended, best first.
+func (s *selection) sorted() []WeightedFeature {
+	slices.SortFunc(s.dst[s.base:], absDescByIndex)
+	return s.dst
 }
 
 // absDescByIndex orders WeightedFeatures by decreasing |weight| with
