@@ -41,6 +41,8 @@ type OnlineSVM struct {
 	w    *vector.Weights
 	bias float64
 	t    int // gradient steps taken
+
+	diff vector.Sparse // StepPair's reused difference buffer; never shared
 }
 
 // NewOnlineSVM returns an untrained model.
@@ -48,7 +50,8 @@ func NewOnlineSVM(reg ElasticNet, useBias bool) *OnlineSVM {
 	return &OnlineSVM{Reg: reg, UseBias: useBias, w: vector.NewWeights()}
 }
 
-// Clone returns a deep copy (used by the Mod-C shadow model).
+// Clone returns a deep copy (used by the Mod-C shadow model). The copy
+// starts with an empty difference buffer of its own.
 func (m *OnlineSVM) Clone() *OnlineSVM {
 	return &OnlineSVM{Reg: m.Reg, UseBias: m.UseBias, w: m.w.Clone(), bias: m.bias, t: m.t}
 }
@@ -111,7 +114,9 @@ func (m *OnlineSVM) Step(x vector.Sparse, y float64) {
 }
 
 // StepPair performs one stochastic pairwise descent update (RSVM-IE,
-// Section 3.1): a hinge step on w·(useful - useless) >= 1.
+// Section 3.1): a hinge step on w·(useful - useless) >= 1. The
+// difference is built in the model's own buffer, which Step only reads.
 func (m *OnlineSVM) StepPair(useful, useless vector.Sparse) {
-	m.Step(useful.Sub(useless), 1)
+	m.diff = useful.SubInto(m.diff, useless)
+	m.Step(m.diff, 1)
 }

@@ -9,8 +9,11 @@ package ranking_test
 
 import (
 	"math/rand"
+	"strconv"
+	"strings"
 	"testing"
 
+	"adaptiverank/internal/corpus"
 	"adaptiverank/internal/learn"
 	"adaptiverank/internal/ranking"
 	"adaptiverank/internal/vector"
@@ -89,6 +92,17 @@ func TestScoringAllocBudgets(t *testing.T) {
 		i++
 	})
 
+	// RSVM-IE's pair step builds useful − useless in the model's own
+	// buffer; warmed over every pair first, so the buffer already fits.
+	pair := learn.NewOnlineSVM(learn.ElasticNet{LambdaAll: 0.1, LambdaL2: 0.99}, false)
+	for k, d := range docs {
+		pair.StepPair(d, docs[(k+1)%len(docs)])
+	}
+	assertZeroAllocs(t, "OnlineSVM.StepPair", func() {
+		pair.StepPair(docs[i%len(docs)], docs[(i+1)%len(docs)])
+		i++
+	})
+
 	// Top-K selection into a warmed buffer (the Top-K detector's
 	// per-step recompute): only the k kept features are held.
 	var top []vector.WeightedFeature
@@ -123,4 +137,46 @@ func TestMarginPackedAllocBudget(t *testing.T) {
 		w.Margin(packed[i%len(packed)], 0, nil)
 		i++
 	})
+}
+
+// TestFeaturizerAllocBudgets pins featurization's allocations: a warm
+// lookup makes none, and a cold document whose tokens are all interned
+// makes only its row's two slices, however long it is.
+func TestFeaturizerAllocBudgets(t *testing.T) {
+	f := ranking.NewFeaturizer()
+	warm := &corpus.Document{ID: 0, Text: "The eruption of Mount Pinatubo buried Clark Air Base in ash."}
+	assertZeroAllocs(t, "Featurizer.FeaturesPacked (warm)", func() {
+		f.FeaturesPacked(warm)
+	})
+
+	if raceEnabled {
+		t.Skip("the race runtime drops sync.Pool items at random, so the cold path's pooled scratch is reallocated")
+	}
+	const runs = 200
+	next := corpus.DocID(1)
+	for _, words := range []int{10, 1000} {
+		var b strings.Builder
+		for k := 0; k < words; k++ {
+			b.WriteString(" Token")
+			b.WriteString(strconv.Itoa(k))
+		}
+		text := b.String()
+		f.Features(&corpus.Document{ID: next, Text: text}) // interns every token
+		next++
+		// One document per call, so every call is cold; AllocsPerRun
+		// adds one warm-up call to its runs.
+		docs := make([]*corpus.Document, runs+1)
+		for k := range docs {
+			docs[k] = &corpus.Document{ID: next + corpus.DocID(k), Text: text}
+		}
+		k := 0
+		n := testing.AllocsPerRun(runs, func() {
+			f.Features(docs[k])
+			k++
+		})
+		next += corpus.DocID(len(docs))
+		if n > 2 {
+			t.Errorf("cold Features of a %d-token document allocates %.1f times, want at most 2", words, n)
+		}
+	}
 }

@@ -2,6 +2,7 @@ package ranking
 
 import (
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -159,9 +160,18 @@ func TestFeaturizerCachesAndNormalizes(t *testing.T) {
 		t.Errorf("features L2 = %g, want 1", l2)
 	}
 	// Stopwords must not be features.
-	if _, ok := f.Vocab.Lookup("w=the"); ok {
+	if _, ok := featureID(f, "w=the"); ok {
 		t.Error("stopword leaked into the feature space")
 	}
+}
+
+// featureID looks a feature name up in f's intern table without
+// interning it; ok is false for names never interned and for stopwords.
+func featureID(f *Featurizer, name string) (id int32, ok bool) {
+	f.mu.RLock()
+	defer f.mu.RUnlock()
+	id, ok = f.ids[strings.TrimPrefix(name, "w=")]
+	return id, ok && id != stopword
 }
 
 func TestTrainingFeaturesBoostTupleAttributes(t *testing.T) {
@@ -171,11 +181,11 @@ func TestTrainingFeaturesBoostTupleAttributes(t *testing.T) {
 	boosted := f.TrainingFeatures(d, []relation.Tuple{
 		{Rel: relation.ND, Arg1: "tsunami", Arg2: "Hawaii"},
 	})
-	id, ok := f.Vocab.Lookup("w=tsunami")
+	id, ok := featureID(f, "w=tsunami")
 	if !ok {
 		t.Fatal("w=tsunami missing from vocabulary")
 	}
-	idOther, _ := f.Vocab.Lookup("w=swept")
+	idOther, _ := featureID(f, "w=swept")
 	// After normalization, the tuple-attribute feature must carry more
 	// relative weight than a plain word in the boosted vector.
 	if boosted.At(id) <= boosted.At(idOther) {

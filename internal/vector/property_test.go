@@ -344,3 +344,24 @@ func sortTruncate(fs []WeightedFeature, k int) []WeightedFeature {
 	})
 	return out[:min(k, len(out))]
 }
+
+// TestPropertySubIntoAndBinary pins the two buffer-owning constructors
+// to their allocating forms: SubInto over one reused buffer equals Sub,
+// and Binary equals FromCounts at count 1 followed by Normalize.
+func TestPropertySubIntoAndBinary(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	var buf Sparse
+	for trial := 0; trial < propertyTrials; trial++ {
+		s, u := randSparse(rng, 30, 64), randSparse(rng, 30, 64)
+		if buf = s.SubInto(buf, u); !buf.Equal(s.Sub(u)) {
+			t.Fatalf("trial %d: SubInto = %v, want %v", trial, buf, s.Sub(u))
+		}
+		counts := make(map[int32]float64)
+		for _, i := range s.idx {
+			counts[i] = 1
+		}
+		if got, want := Binary(slices.Clone(s.idx)), FromCounts(counts).Normalize(); !got.Equal(want) {
+			t.Fatalf("trial %d: Binary = %v, want %v", trial, got, want)
+		}
+	}
+}

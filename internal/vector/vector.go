@@ -84,6 +84,19 @@ func FromCounts(counts map[int32]float64) Sparse {
 	return Sparse{idx: outIdx, val: val}
 }
 
+// Binary returns the unit-norm presence vector over idx, which must be
+// strictly increasing: every value is 1/√n for n = len(idx). That is
+// bitwise FromCounts over the same ids at count 1, then Normalize, since
+// a sum of n ones is exact. Binary takes ownership of idx.
+func Binary(idx []int32) Sparse {
+	val := make([]float64, len(idx))
+	v := 1 / math.Sqrt(float64(len(idx)))
+	for k := range val {
+		val[k] = v
+	}
+	return Sparse{idx: idx, val: val}
+}
+
 // NNZ reports the number of stored (non-zero) entries.
 func (s Sparse) NNZ() int { return len(s.idx) }
 
@@ -154,9 +167,17 @@ func (s Sparse) Scale(a float64) Sparse {
 }
 
 // Sub returns s - t as a new sparse vector.
-func (s Sparse) Sub(t Sparse) Sparse {
-	idx := make([]int32, 0, len(s.idx)+len(t.idx))
-	val := make([]float64, 0, len(s.idx)+len(t.idx))
+func (s Sparse) Sub(t Sparse) Sparse { return s.SubInto(Sparse{}, t) }
+
+// SubInto returns s - t written over dst's storage, which it grows when
+// too small. The result shares that storage, so a caller that reuses dst
+// must be done with the previous result first; s and t must not share
+// it.
+func (s Sparse) SubInto(dst, t Sparse) Sparse {
+	idx, val := dst.idx[:0], dst.val[:0]
+	if n := len(s.idx) + len(t.idx); cap(idx) < n || cap(val) < n {
+		idx, val = make([]int32, 0, n), make([]float64, 0, n)
+	}
 	i, j := 0, 0
 	for i < len(s.idx) && j < len(t.idx) {
 		switch {

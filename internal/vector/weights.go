@@ -7,7 +7,7 @@ import (
 )
 
 // Weights is a mutable weight vector stored densely: v[i] is the weight
-// of feature i, indexed by the contiguous ids tokenize.Vocab assigns, and
+// of feature i, indexed by the contiguous ids the featurizer assigns, and
 // the slice grows as the extraction process observes new features.
 // Features outside the support hold +0 (never −0), and nnz counts the
 // nonzero entries, so the model's support size is O(1) to read.
