@@ -1,9 +1,11 @@
 package extract
 
 import (
+	"slices"
 	"strings"
 	"sync"
 	"unicode"
+	"unicode/utf8"
 
 	"adaptiverank/internal/tokenize"
 
@@ -16,56 +18,49 @@ import (
 // longest match first) against sentence tokens. It is the "dictionaries"
 // entity recognizer of Section 4.
 type dictionaryRecognizer struct {
-	typ     string
-	phrases map[string]bool // lowercase space-joined phrases
-	maxLen  int
+	typ string
+	// byFirst maps a phrase's first token to the phrases it starts,
+	// longest first.
+	byFirst map[string][]phrase
+}
+
+// phrase is one gazetteer entry: its lowercase tokens and, as the span
+// text, those tokens joined by spaces.
+type phrase struct {
+	text string
+	toks []string
 }
 
 func newDictionaryRecognizer(typ string, phrases []string) *dictionaryRecognizer {
-	d := &dictionaryRecognizer{typ: typ, phrases: make(map[string]bool, len(phrases)), maxLen: 1}
+	d := &dictionaryRecognizer{typ: typ, byFirst: make(map[string][]phrase, len(phrases))}
 	for _, p := range phrases {
 		toks := strings.Fields(strings.ToLower(p))
 		if len(toks) == 0 {
 			continue
 		}
-		if len(toks) > d.maxLen {
-			d.maxLen = len(toks)
-		}
-		d.phrases[strings.Join(toks, " ")] = true
+		d.byFirst[toks[0]] = append(d.byFirst[toks[0]], phrase{text: strings.Join(toks, " "), toks: toks})
+	}
+	for _, ps := range d.byFirst {
+		slices.SortStableFunc(ps, func(a, b phrase) int { return len(b.toks) - len(a.toks) })
 	}
 	return d
 }
 
 func (d *dictionaryRecognizer) Type() string { return d.typ }
 
-func (d *dictionaryRecognizer) Recognize(tokens []string) []Span {
-	lower := make([]string, len(tokens))
-	for i, t := range tokens {
-		lower[i] = strings.ToLower(t)
-	}
-	var spans []Span
-	for i := 0; i < len(tokens); {
-		matched := 0
-		for l := d.maxLen; l >= 1; l-- {
-			if i+l > len(tokens) {
-				continue
-			}
-			if d.phrases[strings.Join(lower[i:i+l], " ")] {
-				spans = append(spans, Span{
-					Type: d.typ, Start: i, End: i + l,
-					Text: strings.Join(lower[i:i+l], " "),
-				})
-				matched = l
+func (d *dictionaryRecognizer) Recognize(dst []Span, s *Sentence) []Span {
+	for i := 0; i < len(s.Lower); {
+		matched := 1
+		for _, p := range d.byFirst[s.Lower[i]] {
+			if i+len(p.toks) <= len(s.Lower) && slices.Equal(p.toks[1:], s.Lower[i+1:i+len(p.toks)]) {
+				dst = append(dst, Span{Type: d.typ, Start: i, End: i + len(p.toks), Text: p.text})
+				matched = len(p.toks)
 				break
 			}
 		}
-		if matched > 0 {
-			i += matched
-		} else {
-			i++
-		}
+		i += matched
 	}
-	return spans
+	return dst
 }
 
 // Gazetteer accessors: the extractors' dictionaries come from the same
@@ -94,31 +89,29 @@ func newOrgRecognizer() *orgRecognizer {
 func (o *orgRecognizer) Type() string { return "Organization" }
 
 func isCapitalized(tok string) bool {
-	r := []rune(tok)
-	return len(r) > 0 && unicode.IsUpper(r[0])
+	r, _ := utf8.DecodeRuneInString(tok)
+	return tok != "" && unicode.IsUpper(r)
 }
 
-func (o *orgRecognizer) Recognize(tokens []string) []Span {
-	var spans []Span
-	for i, tok := range tokens {
-		if !o.suffixes[strings.ToLower(tok)] || !isCapitalized(tok) {
+func (o *orgRecognizer) Recognize(dst []Span, s *Sentence) []Span {
+	for i, low := range s.Lower {
+		if !o.suffixes[low] || !isCapitalized(s.Cased[i]) {
 			continue
 		}
 		start := i
-		for start > 0 && isCapitalized(tokens[start-1]) &&
-			!o.suffixes[strings.ToLower(tokens[start-1])] &&
-			!tokenize.IsStopword(strings.ToLower(tokens[start-1])) {
+		for start > 0 && isCapitalized(s.Cased[start-1]) &&
+			!o.suffixes[s.Lower[start-1]] && !tokenize.IsStopword(s.Lower[start-1]) {
 			start--
 		}
 		if start == i {
 			continue // a bare suffix word is not an organization
 		}
-		spans = append(spans, Span{
+		dst = append(dst, Span{
 			Type: "Organization", Start: start, End: i + 1,
-			Text: strings.Join(tokens[start:i+1], " "),
+			Text: strings.Join(s.Cased[start:i+1], " "),
 		})
 	}
-	return spans
+	return dst
 }
 
 // temporalRecognizer is the manually-crafted-regular-expression recognizer
@@ -143,28 +136,26 @@ func newTemporalRecognizer() *temporalRecognizer {
 
 func (t *temporalRecognizer) Type() string { return "Temporal" }
 
-func (t *temporalRecognizer) Recognize(tokens []string) []Span {
-	var spans []Span
-	for i := 0; i < len(tokens); i++ {
-		low := strings.ToLower(tokens[i])
-		switch low {
+func (t *temporalRecognizer) Recognize(dst []Span, s *Sentence) []Span {
+	low, cased := s.Lower, s.Cased
+	for i := 0; i < len(low); i++ {
+		switch low[i] {
 		case "in":
-			if i+1 < len(tokens) && t.months[strings.ToLower(tokens[i+1])] {
-				spans = append(spans, Span{Type: "Temporal", Start: i, End: i + 2,
-					Text: "in " + tokens[i+1]})
-			} else if i+2 < len(tokens) && strings.ToLower(tokens[i+1]) == "early" &&
-				t.months[strings.ToLower(tokens[i+2])] {
-				spans = append(spans, Span{Type: "Temporal", Start: i, End: i + 3,
-					Text: "in early " + tokens[i+2]})
+			if i+1 < len(low) && t.months[low[i+1]] {
+				dst = append(dst, Span{Type: "Temporal", Start: i, End: i + 2,
+					Text: "in " + cased[i+1]})
+			} else if i+2 < len(low) && low[i+1] == "early" && t.months[low[i+2]] {
+				dst = append(dst, Span{Type: "Temporal", Start: i, End: i + 3,
+					Text: "in early " + cased[i+2]})
 			}
 		case "last":
-			if i+1 < len(tokens) && t.weekdays[strings.ToLower(tokens[i+1])] {
-				spans = append(spans, Span{Type: "Temporal", Start: i, End: i + 2,
-					Text: "last " + tokens[i+1]})
+			if i+1 < len(low) && t.weekdays[low[i+1]] {
+				dst = append(dst, Span{Type: "Temporal", Start: i, End: i + 2,
+					Text: "last " + cased[i+1]})
 			}
 		}
 	}
-	return spans
+	return dst
 }
 
 // electionRecognizer finds election mentions: "<modifier> (election|race|vote)"
@@ -179,50 +170,72 @@ func newElectionRecognizer() *electionRecognizer {
 
 func (e *electionRecognizer) Type() string { return "Election" }
 
-func (e *electionRecognizer) Recognize(tokens []string) []Span {
-	var spans []Span
-	for i := 1; i < len(tokens); i++ {
-		if !e.heads[strings.ToLower(tokens[i])] {
+func (e *electionRecognizer) Recognize(dst []Span, s *Sentence) []Span {
+	for i := 1; i < len(s.Lower); i++ {
+		if !e.heads[s.Lower[i]] {
 			continue
 		}
-		mod := strings.ToLower(tokens[i-1])
-		if mod == "the" || mod == "a" || mod == "an" || isCapitalized(tokens[i-1]) {
+		mod := s.Lower[i-1]
+		if mod == "the" || mod == "a" || mod == "an" || isCapitalized(s.Cased[i-1]) {
 			continue
 		}
-		spans = append(spans, Span{Type: "Election", Start: i - 1, End: i + 1,
-			Text: mod + " " + strings.ToLower(tokens[i])})
+		dst = append(dst, Span{Type: "Election", Start: i - 1, End: i + 1,
+			Text: mod + " " + s.Lower[i]})
 	}
-	return spans
+	return dst
 }
 
-// taggerRecognizer adapts a BIO sequence tagger into a Recognizer.
+// taggerRecognizer adapts a BIO sequence tagger into a Recognizer. A span
+// opens at any B- tag and runs over the I- tags of the same type.
 type taggerRecognizer struct {
 	typ string
-	tag func(words []string) []string
+	// tag appends the tagger's state index for each token of s to dst.
+	tag func(dst []int, s *Sentence) []int
+	// inside[b] is -1 unless b is a B- state. For a B- state it is the
+	// I- state of the same type, or len(inside), which no token carries,
+	// if the tagger has none.
+	inside []int
+}
+
+// newTaggerRecognizer adapts a tagger whose state indices index tags.
+func newTaggerRecognizer(typ string, tags []string, tag func(dst []int, s *Sentence) []int) *taggerRecognizer {
+	t := &taggerRecognizer{typ: typ, tag: tag, inside: make([]int, len(tags))}
+	for b, name := range tags {
+		t.inside[b] = -1
+		if kind, ok := strings.CutPrefix(name, "B-"); ok {
+			if t.inside[b] = slices.Index(tags, "I-"+kind); t.inside[b] < 0 {
+				t.inside[b] = len(tags)
+			}
+		}
+	}
+	return t
 }
 
 func (t *taggerRecognizer) Type() string { return t.typ }
 
-func (t *taggerRecognizer) Recognize(tokens []string) []Span {
-	tags := t.tag(tokens)
-	var spans []Span
-	for i := 0; i < len(tags); {
-		if !strings.HasPrefix(tags[i], "B-") {
+func (t *taggerRecognizer) Recognize(dst []Span, s *Sentence) []Span {
+	s.states = t.tag(s.states[:0], s)
+	states := s.states
+	for i := 0; i < len(states); {
+		in := t.inside[states[i]]
+		if in < 0 {
 			i++
 			continue
 		}
 		j := i + 1
-		for j < len(tags) && tags[j] == "I-"+tags[i][2:] {
+		for j < len(states) && states[j] == in {
 			j++
 		}
-		text := strings.Join(tokens[i:j], " ")
-		if t.typ != "Person" {
-			text = strings.ToLower(text)
+		var text string
+		if t.typ == "Person" {
+			text = strings.Join(s.Cased[i:j], " ")
+		} else {
+			text = strings.Join(s.Lower[i:j], " ")
 		}
-		spans = append(spans, Span{Type: t.typ, Start: i, End: j, Text: text})
+		dst = append(dst, Span{Type: t.typ, Start: i, End: j, Text: text})
 		i = j
 	}
-	return spans
+	return dst
 }
 
 var (
@@ -239,7 +252,9 @@ func personHMM() Recognizer {
 	personOnce.Do(func() {
 		sents, tags := personTrainingData(4000, 11)
 		hmm := learn.TrainHMM(sents, tags)
-		personRec = &taggerRecognizer{typ: "Person", tag: hmm.Tag}
+		personRec = newTaggerRecognizer("Person", hmm.States(), func(dst []int, s *Sentence) []int {
+			return hmm.Decode(dst, s.Cased, s.Lower)
+		})
 	})
 	return personRec
 }
@@ -255,7 +270,12 @@ func disasterTagger(rel relation.Relation) Recognizer {
 	disasterOnce[idx].Do(func() {
 		sents, tags := disasterTrainingData(rel, 3000, 13+int64(idx))
 		p := learn.TrainPerceptron(sents, tags, 4)
-		disasterRec[idx] = &taggerRecognizer{typ: typ, tag: p.Tag}
+		disasterRec[idx] = newTaggerRecognizer(typ, p.Tags(), func(dst []int, s *Sentence) []int {
+			for _, tag := range p.Tag(s.Cased) {
+				dst = append(dst, slices.Index(p.Tags(), tag))
+			}
+			return dst
+		})
 	})
 	return disasterRec[idx]
 }

@@ -9,8 +9,21 @@ import (
 	"adaptiverank/internal/tokenize"
 )
 
+// sentenceOf tokenizes text as one sentence.
+func sentenceOf(text string) *Sentence {
+	var d tokenize.Doc
+	d.Split(text)
+	s := &Sentence{}
+	for k := 0; k < d.Len(); k++ {
+		cased, lower := d.Sentence(k)
+		s.Cased = append(s.Cased, cased...)
+		s.Lower = append(s.Lower, lower...)
+	}
+	return s
+}
+
 func spansOf(r Recognizer, sentence string) []Span {
-	return r.Recognize(tokenize.WordsCased(sentence))
+	return r.Recognize(nil, sentenceOf(sentence))
 }
 
 func TestDictionaryRecognizerLongestMatch(t *testing.T) {
@@ -118,7 +131,7 @@ func TestDisasterTaggersShareNothing(t *testing.T) {
 }
 
 func TestPairContextRoles(t *testing.T) {
-	tokens := []string{"Voters", "chose", "Mary", "Johnson", "as", "the", "winner", "of", "the", "senate", "race"}
+	tokens := sentenceOf("Voters chose Mary Johnson as the winner of the senate race").Lower
 	election := Span{Start: 9, End: 11, Text: "senate race"}
 	person := Span{Start: 2, End: 4, Text: "Mary Johnson"}
 	// arg1 = election, arg2 = person (tuple roles), person comes first

@@ -19,7 +19,7 @@ type distanceClassifier struct {
 	maxGap int
 }
 
-func (c distanceClassifier) classify(_ []string, arg1, arg2 Span) bool {
+func (c distanceClassifier) classify(_ *Sentence, arg1, arg2 Span) bool {
 	gap := arg2.Start - arg1.End
 	if arg1.Start > arg2.Start {
 		gap = arg1.Start - arg2.End
@@ -31,8 +31,9 @@ func (c distanceClassifier) classify(_ []string, arg1, arg2 Span) bool {
 // sequence with semantic-role placeholders: up to two tokens before the
 // first entity, the tokens between the entities, one token after the
 // second, and "<arg1>"/"<arg2>" markers. Both the subsequence-kernel
-// classifier and its exemplars are built from this rendering.
-func pairContext(tokens []string, arg1, arg2 Span) []string {
+// classifier and its exemplars are built from this rendering; lower holds
+// the sentence's lowercased tokens.
+func pairContext(lower []string, arg1, arg2 Span) []string {
 	first, second := arg1, arg2
 	firstIs1 := true
 	if arg2.Start < arg1.Start {
@@ -48,16 +49,16 @@ func pairContext(tokens []string, arg1, arg2 Span) []string {
 	var ctx []string
 	for i := first.Start - 2; i < first.Start; i++ {
 		if i >= 0 {
-			ctx = append(ctx, strings.ToLower(tokens[i]))
+			ctx = append(ctx, lower[i])
 		}
 	}
 	ctx = append(ctx, role(true))
 	for i := first.End; i < second.Start; i++ {
-		ctx = append(ctx, strings.ToLower(tokens[i]))
+		ctx = append(ctx, lower[i])
 	}
 	ctx = append(ctx, role(false))
-	if second.End < len(tokens) {
-		ctx = append(ctx, strings.ToLower(tokens[second.End]))
+	if second.End < len(lower) {
+		ctx = append(ctx, lower[second.End])
 	}
 	return ctx
 }
@@ -75,7 +76,7 @@ type ssKernelClassifier struct {
 	triggers map[string]bool
 }
 
-func (c *ssKernelClassifier) classify(tokens []string, arg1, arg2 Span) bool {
+func (c *ssKernelClassifier) classify(s *Sentence, arg1, arg2 Span) bool {
 	gap := arg2.Start - arg1.End
 	if arg1.Start > arg2.Start {
 		gap = arg1.Start - arg2.End
@@ -83,7 +84,7 @@ func (c *ssKernelClassifier) classify(tokens []string, arg1, arg2 Span) bool {
 	if gap < 0 || gap > c.maxGap {
 		return false
 	}
-	ctx := pairContext(tokens, arg1, arg2)
+	ctx := pairContext(s.Lower, arg1, arg2)
 	hasTrigger := false
 	for _, t := range ctx {
 		if c.triggers[t] {
@@ -119,10 +120,11 @@ func buildKernelClassifiers() {
 	kernelCls = make(map[relation.Relation]*ssKernelClassifier)
 	k := learn.NewSubseqKernel(3, 0.75)
 	ex := func(rel relation.Relation, threshold float64, maxGap int, triggers []string, exemplars ...string) {
-		sc := &learn.ExemplarScorer{Kernel: k, Threshold: threshold}
+		var exs [][]string
 		for _, e := range exemplars {
-			sc.Exemplars = append(sc.Exemplars, strings.Fields(e))
+			exs = append(exs, strings.Fields(e))
 		}
+		sc := learn.NewExemplarScorer(k, threshold, exs)
 		tr := make(map[string]bool, len(triggers))
 		for _, t := range triggers {
 			tr[t] = true
@@ -187,13 +189,19 @@ func newPOSVM() *poSVM {
 			model: learn.NewOnlineSVM(learn.ElasticNet{LambdaAll: 1e-3, LambdaL2: 1}, true),
 		}
 		pairs := poTrainingData(3000, 17)
+		lower := make([][]string, len(pairs))
+		for i, p := range pairs {
+			for _, tok := range p.tokens {
+				lower[i] = append(lower[i], strings.ToLower(tok))
+			}
+		}
 		for epoch := 0; epoch < 4; epoch++ {
-			for _, p := range pairs {
+			for i, p := range pairs {
 				y := -1.0
 				if p.positive {
 					y = 1
 				}
-				cls.model.Step(cls.features(p.tokens, p.arg1, p.arg2), y)
+				cls.model.Step(cls.features(lower[i], p.arg1, p.arg2, true), y)
 			}
 		}
 		poCls = cls
@@ -201,10 +209,13 @@ func newPOSVM() *poSVM {
 	return poCls
 }
 
-// features builds the candidate-pair feature vector: between-token bag,
-// two-token windows around the entities, entity order, and a bucketed
-// distance, following shallow-feature relation extraction practice.
-func (c *poSVM) features(tokens []string, arg1, arg2 Span) vector.Sparse {
+// features builds the candidate-pair feature vector over a sentence's
+// lowercased tokens: between-token bag, two-token windows around the
+// entities, entity order, and a bucketed distance, following
+// shallow-feature relation extraction practice. Training interns new
+// features; inference only looks them up and drops the unseen ones, which
+// have no weight, so the classifier stays read-only.
+func (c *poSVM) features(lower []string, arg1, arg2 Span, train bool) vector.Sparse {
 	first, second := arg1, arg2
 	order := "per-first"
 	if arg2.Start < arg1.Start {
@@ -212,17 +223,23 @@ func (c *poSVM) features(tokens []string, arg1, arg2 Span) vector.Sparse {
 		order = "org-first"
 	}
 	counts := make(map[int32]float64)
-	add := func(f string) { counts[c.vocab.ID(f)]++ }
+	add := func(f string) {
+		if train {
+			counts[c.vocab.ID(f)]++
+		} else if id, ok := c.vocab.Lookup(f); ok {
+			counts[id]++
+		}
+	}
 	for i := first.End; i < second.Start; i++ {
-		add("bt=" + strings.ToLower(tokens[i]))
+		add("bt=" + lower[i])
 	}
 	for i := first.Start - 2; i < first.Start; i++ {
 		if i >= 0 {
-			add("bf=" + strings.ToLower(tokens[i]))
+			add("bf=" + lower[i])
 		}
 	}
-	for i := second.End; i < second.End+2 && i < len(tokens); i++ {
-		add("af=" + strings.ToLower(tokens[i]))
+	for i := second.End; i < second.End+2 && i < len(lower); i++ {
+		add("af=" + lower[i])
 	}
 	add("order=" + order)
 	gap := second.Start - first.End
@@ -240,7 +257,7 @@ func (c *poSVM) features(tokens []string, arg1, arg2 Span) vector.Sparse {
 	return vector.FromCounts(counts)
 }
 
-func (c *poSVM) classify(tokens []string, arg1, arg2 Span) bool {
+func (c *poSVM) classify(s *Sentence, arg1, arg2 Span) bool {
 	gap := arg2.Start - arg1.End
 	if arg1.Start > arg2.Start {
 		gap = arg1.Start - arg2.End
@@ -248,7 +265,7 @@ func (c *poSVM) classify(tokens []string, arg1, arg2 Span) bool {
 	if gap < 0 || gap > 10 {
 		return false
 	}
-	return c.model.Margin(c.features(tokens, arg1, arg2).Packed()) > 0
+	return c.model.Margin(c.features(s.Lower, arg1, arg2, false).Packed()) > 0
 }
 
 // FeatureCount exposes the learned feature-space size for diagnostics.

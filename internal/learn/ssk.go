@@ -74,8 +74,12 @@ func (k *SubseqKernel) raw(s, t []string) float64 {
 // Similarity returns the normalized kernel
 // K(s,t)/sqrt(K(s,s)*K(t,t)) in [0,1].
 func (k *SubseqKernel) Similarity(s, t []string) float64 {
-	ss := k.raw(s, s)
-	tt := k.raw(t, t)
+	return k.similarity(s, t, k.raw(s, s), k.raw(t, t))
+}
+
+// similarity is Similarity given the self-kernels ss = K(s,s) and
+// tt = K(t,t).
+func (k *SubseqKernel) similarity(s, t []string, ss, tt float64) float64 {
 	if ss == 0 || tt == 0 {
 		return 0
 	}
@@ -93,16 +97,29 @@ func (k *SubseqKernel) Similarity(s, t []string) float64 {
 // similarity to a set of positive exemplar contexts — a nearest-exemplar
 // relation classifier on top of the subsequence kernel.
 type ExemplarScorer struct {
-	Kernel    *SubseqKernel
-	Exemplars [][]string
-	Threshold float64
+	kernel    *SubseqKernel
+	exemplars [][]string
+	self      []float64 // self[i] = K(exemplars[i], exemplars[i])
+	threshold float64
+}
+
+// NewExemplarScorer returns a scorer over the exemplars that matches
+// contexts scoring at least threshold. It computes each exemplar's
+// self-kernel once, here.
+func NewExemplarScorer(k *SubseqKernel, threshold float64, exemplars [][]string) *ExemplarScorer {
+	e := &ExemplarScorer{kernel: k, exemplars: exemplars, threshold: threshold}
+	for _, ex := range exemplars {
+		e.self = append(e.self, k.raw(ex, ex))
+	}
+	return e
 }
 
 // Score returns the maximum similarity of ctx to any exemplar.
 func (e *ExemplarScorer) Score(ctx []string) float64 {
 	var best float64
-	for _, ex := range e.Exemplars {
-		if s := e.Kernel.Similarity(ctx, ex); s > best {
+	ss := e.kernel.raw(ctx, ctx)
+	for i, ex := range e.exemplars {
+		if s := e.kernel.similarity(ctx, ex, ss, e.self[i]); s > best {
 			best = s
 		}
 	}
@@ -111,5 +128,5 @@ func (e *ExemplarScorer) Score(ctx []string) float64 {
 
 // Match reports whether ctx clears the decision threshold.
 func (e *ExemplarScorer) Match(ctx []string) bool {
-	return e.Score(ctx) >= e.Threshold
+	return e.Score(ctx) >= e.threshold
 }

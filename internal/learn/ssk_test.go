@@ -135,11 +135,8 @@ func TestSSKSymmetry(t *testing.T) {
 }
 
 func TestExemplarScorer(t *testing.T) {
-	sc := &ExemplarScorer{
-		Kernel:    NewSubseqKernel(3, 0.75),
-		Threshold: 0.5,
-		Exemplars: [][]string{{"<arg1>", "was", "charged", "with", "<arg2>"}},
-	}
+	sc := NewExemplarScorer(NewSubseqKernel(3, 0.75), 0.5,
+		[][]string{{"<arg1>", "was", "charged", "with", "<arg2>"}})
 	if !sc.Match([]string{"<arg1>", "was", "charged", "with", "<arg2>", "yesterday"}) {
 		t.Error("near-identical context must match")
 	}
