@@ -9,26 +9,33 @@ import (
 // Weights is a mutable weight vector stored densely: v[i] is the weight
 // of feature i, indexed by the contiguous ids the featurizer assigns, and
 // the slice grows as the extraction process observes new features.
-// Features outside the support hold +0 (never −0), and nnz counts the
-// nonzero entries, so the model's support size is O(1) to read.
+// Features outside the support hold +0 (never −0). Beside the values,
+// supp lists the support — every index whose weight is nonzero, each
+// once, in no particular order — so the elastic-net step and the top-k
+// scan cost O(nnz), not O(vocabulary), and NNZ is len(supp).
 //
-// Every fold over the vector runs in ascending index order, so norms,
-// similarities and margins are identical across runs.
+// Every fold whose result depends on its order (the margin, the norms,
+// the cosine, Range and the snapshots) sweeps the dense values in
+// ascending index order, so they are identical across runs. Only
+// per-coordinate updates (Shrink) and order-free selections (AppendTopK,
+// whose order is total) walk the support.
 //
 // Concurrency: mutation (Set/Add/AddSparse/Shrink) is single-threaded.
 // Reads (Margin, At, the norms) may run from many goroutines at once —
 // the pipeline's score workers do — but never concurrently with a
 // mutation.
 type Weights struct {
-	v   []float64
-	nnz int
+	v    []float64
+	supp []int32
 }
 
 // NewWeights returns an empty weight vector.
 func NewWeights() *Weights { return &Weights{} }
 
 // Clone returns a deep copy of w.
-func (w *Weights) Clone() *Weights { return &Weights{v: slices.Clone(w.v), nnz: w.nnz} }
+func (w *Weights) Clone() *Weights {
+	return &Weights{v: slices.Clone(w.v), supp: slices.Clone(w.supp)}
+}
 
 // At returns the weight of feature i (0 outside the stored range).
 func (w *Weights) At(i int32) float64 {
@@ -41,59 +48,81 @@ func (w *Weights) At(i int32) float64 {
 // Set assigns the weight of feature i. Setting 0 takes the feature out of
 // the support, so the model stays sparse (the basis of in-training
 // feature selection).
-func (w *Weights) Set(i int32, v float64) {
+func (w *Weights) Set(i int32, v float64) { w.set(i, v) }
+
+// Add accumulates v into feature i.
+func (w *Weights) Add(i int32, v float64) { w.set(i, w.At(i)+v) }
+
+// set is the body of Set and Add. It is kept out of line so that both
+// stay within the inlining budget; AddSparse, the training hot path,
+// handles the common case inline and calls set for the rest.
+// It grows the vector, and moves i into or out of the support when its
+// weight becomes nonzero or zero. Leaving (an exact cancellation, or
+// Set(i, 0)) is rare, so it scans the support.
+func (w *Weights) set(i int32, v float64) {
 	if int(i) >= len(w.v) {
 		w.v = append(w.v, make([]float64, int(i)+1-len(w.v))...)
 	}
-	if w.v[i] == 0 {
-		w.nnz++
-	}
-	if v == 0 {
-		w.nnz--
+	switch old := w.v[i]; {
+	case v == 0:
+		if old != 0 {
+			k := slices.Index(w.supp, i)
+			last := len(w.supp) - 1
+			w.supp[k] = w.supp[last]
+			w.supp = w.supp[:last]
+		}
 		v = 0 // store +0, never −0
+	case old == 0:
+		w.supp = append(w.supp, i)
 	}
 	w.v[i] = v
 }
 
-// Add accumulates v into feature i.
-func (w *Weights) Add(i int32, v float64) { w.Set(i, w.At(i)+v) }
-
 // NNZ reports the number of features with non-zero weight.
-func (w *Weights) NNZ() int { return w.nnz }
+func (w *Weights) NNZ() int { return len(w.supp) }
 
-// AddSparse accumulates a*x into w.
+// AddSparse accumulates a*x into w, computing each entry as Add does.
+// A weight that is nonzero before and after stays in the support, so it
+// is written in place; every other case goes through set.
 func (w *Weights) AddSparse(a float64, x Sparse) {
 	if a == 0 {
 		return
 	}
 	for k, i := range x.idx {
-		w.Add(i, a*x.val[k])
+		nv := w.At(i) + a*x.val[k]
+		if uint(i) < uint(len(w.v)) && w.v[i] != 0 && nv != 0 {
+			w.v[i] = nv
+			continue
+		}
+		w.set(i, nv)
 	}
 }
 
 // Shrink applies the elastic-net proximal step
 // w_i <- sign(w_i) * max(0, |w_i|*decay - thresh) to every weight: an L2
 // decay followed by an L1 soft threshold. Weights that reach zero leave
-// the support.
+// the support. Zero weights stay zero, so the step walks the support
+// only; coordinates are independent, so the walk order changes no bit.
 func (w *Weights) Shrink(decay, thresh float64) {
 	if decay == 1 && thresh == 0 {
 		return
 	}
-	for i, v := range w.v {
-		if v == 0 {
-			continue
-		}
+	d := w.v
+	kept := w.supp[:0]
+	for _, i := range w.supp {
+		v := d[i]
 		nv := math.Abs(v)*decay - thresh
 		if nv <= 0 {
-			w.v[i] = 0
-			w.nnz--
+			d[i] = 0
 			continue
 		}
 		if v < 0 {
 			nv = -nv
 		}
-		w.v[i] = nv
+		d[i] = nv
+		kept = append(kept, i)
 	}
+	w.supp = kept
 }
 
 // Margin is the one margin kernel: it returns w·x + bias, folding the
@@ -185,8 +214,8 @@ func (w *Weights) Range(f func(i int32, v float64)) {
 
 // ToSparse snapshots the weight vector as an immutable sparse vector.
 func (w *Weights) ToSparse() Sparse {
-	idx := make([]int32, 0, w.nnz)
-	val := make([]float64, 0, w.nnz)
+	idx := make([]int32, 0, len(w.supp))
+	val := make([]float64, 0, len(w.supp))
 	for i, v := range w.v {
 		if v != 0 {
 			idx = append(idx, int32(i))
@@ -207,15 +236,14 @@ type WeightedFeature struct {
 func (w *Weights) TopK(k int) []WeightedFeature { return w.AppendTopK(nil, k) }
 
 // AppendTopK appends w's top k features, in TopK's order, to dst and
-// returns the extended slice. The scan keeps only the k best features
-// seen so far, so it costs O(nnz·log k), and appending into a buffer with
-// room for them allocates nothing.
+// returns the extended slice. The scan offers the support and keeps only
+// the k best features seen so far, so it costs O(nnz·log k), and
+// appending into a buffer with room for them allocates nothing. The
+// order is total, so the result does not depend on the offer order.
 func (w *Weights) AppendTopK(dst []WeightedFeature, k int) []WeightedFeature {
 	s := selection{dst: dst, base: len(dst), k: k}
-	for i, v := range w.v {
-		if v != 0 {
-			s.offer(WeightedFeature{Index: int32(i), Weight: v})
-		}
+	for _, i := range w.supp {
+		s.offer(WeightedFeature{Index: i, Weight: w.v[i]})
 	}
 	return s.sorted()
 }
