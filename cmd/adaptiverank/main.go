@@ -8,8 +8,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"net/http"
-	_ "net/http/pprof"
 	"os"
 	"os/signal"
 	"syscall"
@@ -45,7 +43,6 @@ func run() (code int) {
 		trace    = flag.String("trace", "", "write a JSONL event trace of the run to this file (convert with obsreport -chrome for a Perfetto flame timeline)")
 		metrics  = flag.Bool("metrics", false, "dump collected metrics (expvar-style text) to stderr on exit")
 		serve    = flag.String("serve", "", "serve /metrics (Prometheus), /events (SSE), /runs, /alerts, /healthz and /debug/pprof on this address during the run (e.g. localhost:6060)")
-		pprof    = flag.String("pprof", "", "serve net/http/pprof alone on this address (subsumed by -serve)")
 		sloSlope = flag.Float64("slo-min-recall-slope", 0, "SLO watchdog: alert when useful-docs-per-document over the trailing window falls below this floor (0 = rule off)")
 		sloFire  = flag.Float64("slo-max-fire-rate", 0, "SLO watchdog: alert when the detector fire rate over the trailing window exceeds this ceiling (0 = rule off)")
 		sloP99   = flag.Duration("slo-max-p99", 0, "SLO watchdog: alert when the p99 per-document step latency exceeds this bound (0 = rule off)")
@@ -67,8 +64,8 @@ func run() (code int) {
 		extractTimeout = flag.Duration("extract-timeout", 0, "resilience: per-attempt extraction timeout (0 = default)")
 		extractRetries = flag.Int("extract-retries", 0, "resilience: max extraction attempts per document (0 = default)")
 
-		profDir    = flag.String("prof-dir", "", "continuous profiling: write phase-scoped CPU windows, heap/goroutine snapshots, runtime-metrics samples and a JSONL manifest under this directory (inspect with profreport -dir)")
-		profCPUWin = flag.Duration("prof-cpu-window", 10*time.Second, "continuous profiling: CPU profile window length; phase boundaries rotate windows early (0 disables CPU windows)")
+		profDir    = flag.String("prof-dir", "", "continuous profiling: write CPU windows whose samples carry a pprof phase label, heap/goroutine snapshots, runtime-metrics samples and a JSONL manifest under this directory (inspect with profreport -dir and go tool pprof -tags)")
+		profCPUWin = flag.Duration("prof-cpu-window", 10*time.Second, "continuous profiling: CPU profile window length; windows rotate on this clock only (0 disables CPU windows)")
 		blackboxD  = flag.String("blackbox", "", "flight recorder: keep a bounded ring of recent events in memory and flush postmortem bundles to this directory on worker panic, SLO alert, or SIGQUIT (inspect with profreport -bundle)")
 
 		explainDir = flag.String("explain-dir", "", "model introspection: write weight-drift snapshots, top-ranked score attributions, and detector decision evidence as a JSONL artifact under this directory (inspect with explainreport -dir; live at /model and /explain with -serve)")
@@ -81,14 +78,6 @@ func run() (code int) {
 	// runs, so a Ctrl-C leaves a valid, resumable journal behind.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-
-	if *pprof != "" {
-		go func() {
-			if err := http.ListenAndServe(*pprof, nil); err != nil {
-				fmt.Fprintln(os.Stderr, "pprof:", err)
-			}
-		}()
-	}
 
 	rel, err := relation.Parse(*relCode)
 	if err != nil {

@@ -8,8 +8,6 @@ import (
 	"context"
 	"flag"
 	"fmt"
-	"net/http"
-	_ "net/http/pprof"
 	"os"
 	"os/signal"
 	"strings"
@@ -44,7 +42,6 @@ func run() (code int) {
 		trace    = flag.String("trace", "", "write a JSONL event trace of every pipeline run to this file (convert with obsreport -chrome)")
 		metrics  = flag.Bool("metrics", false, "dump metrics aggregated across all runs (expvar-style text) to stderr on exit")
 		serve    = flag.String("serve", "", "serve /metrics (Prometheus), /events (SSE), /runs, /alerts, /healthz and /debug/pprof on this address during the suite (e.g. localhost:6060)")
-		pprof    = flag.String("pprof", "", "serve net/http/pprof alone on this address (subsumed by -serve)")
 		sloSlope = flag.Float64("slo-min-recall-slope", 0, "SLO watchdog: alert when useful-docs-per-document over the trailing window falls below this floor (0 = rule off)")
 		sloFire  = flag.Float64("slo-max-fire-rate", 0, "SLO watchdog: alert when the detector fire rate over the trailing window exceeds this ceiling (0 = rule off)")
 		sloP99   = flag.Duration("slo-max-p99", 0, "SLO watchdog: alert when the p99 per-document step latency exceeds this bound (0 = rule off)")
@@ -52,8 +49,8 @@ func run() (code int) {
 		sloFault = flag.Float64("slo-max-fault-rate", 0, "SLO watchdog: alert when the extraction fault rate over the trailing window exceeds this ceiling (0 = rule off)")
 		labelDir = flag.String("label-cache", "", "checkpoint whole-collection oracle labels as journal files in this directory; a restarted suite reloads them instead of re-extracting")
 
-		profDir    = flag.String("prof-dir", "", "continuous profiling: write phase-scoped CPU windows, heap/goroutine snapshots, runtime-metrics samples and a JSONL manifest under this directory (inspect with profreport -dir)")
-		profCPUWin = flag.Duration("prof-cpu-window", 10*time.Second, "continuous profiling: CPU profile window length; phase boundaries rotate windows early (0 disables CPU windows)")
+		profDir    = flag.String("prof-dir", "", "continuous profiling: write CPU windows whose samples carry a pprof phase label, heap/goroutine snapshots, runtime-metrics samples and a JSONL manifest under this directory (inspect with profreport -dir and go tool pprof -tags)")
+		profCPUWin = flag.Duration("prof-cpu-window", 10*time.Second, "continuous profiling: CPU profile window length; windows rotate on this clock only (0 disables CPU windows)")
 		blackboxD  = flag.String("blackbox", "", "flight recorder: keep a bounded ring of recent events in memory and flush postmortem bundles to this directory on worker panic, SLO alert, or SIGQUIT (inspect with profreport -bundle)")
 
 		explainDir = flag.String("explain-dir", "", "model introspection: write weight-drift snapshots, top-ranked score attributions, and detector decision evidence for every pipeline run as a JSONL artifact under this directory (inspect with explainreport -dir; live at /model and /explain with -serve)")
@@ -65,14 +62,6 @@ func run() (code int) {
 	// drains and the deferred trace flush below still executes.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
-
-	if *pprof != "" {
-		go func() {
-			if err := http.ListenAndServe(*pprof, nil); err != nil {
-				fmt.Fprintln(os.Stderr, "pprof:", err)
-			}
-		}()
-	}
 
 	if *list {
 		for _, item := range experiments.Suite() {

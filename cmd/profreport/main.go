@@ -1,15 +1,14 @@
 // Command profreport reads what the profiling harness and the black
-// box write: it renders single profiles, summarizes a profile
-// directory phase by phase, diffs two recorded runs (phase wall-clock
-// deltas and regressed functions), and turns a postmortem bundle into
-// a human-readable report — all on the stdlib pprof/manifest readers
-// in internal/obs/prof and internal/obs/blackbox, no external
-// tooling required.
+// box write: it summarizes a profile directory, compares the capture
+// environments of two recorded runs, and turns a postmortem bundle into
+// a human-readable report. CPU samples carry a pprof "phase" label, so
+// per-phase CPU tables and function diffs come from `go tool pprof`
+// (-tags, -tagfocus, -diff_base); the -dir and -against reports print
+// those commands.
 //
-//	profreport -prof FILE [-n 15] [-value cpu]   top functions of one profile
-//	profreport -dir DIR [-n 15]                  per-phase report of a profile dir
-//	profreport -dir NEW -against OLD [-n 15]     diff two profile dirs
-//	profreport -bundle DIR [-n 15]               render a postmortem bundle
+//	profreport -dir DIR                  summary of a profile dir
+//	profreport -dir NEW -against OLD     environment drift between two dirs
+//	profreport -bundle DIR [-n 15]       render a postmortem bundle
 package main
 
 import (
@@ -22,35 +21,25 @@ func main() { os.Exit(run()) }
 
 func run() int {
 	var (
-		profPath = flag.String("prof", "", "print top functions of one pprof profile")
-		dir      = flag.String("dir", "", "profile directory to report on")
-		against  = flag.String("against", "", "baseline profile directory to diff -dir against")
-		bundle   = flag.String("bundle", "", "postmortem bundle directory to render")
-		topN     = flag.Int("n", 15, "rows per top-functions table")
-		value    = flag.String("value", "cpu", "sample value dimension (falls back to the profile's last)")
+		dir     = flag.String("dir", "", "profile directory to report on")
+		against = flag.String("against", "", "baseline profile directory to compare -dir against")
+		bundle  = flag.String("bundle", "", "postmortem bundle directory to render")
+		topN    = flag.Int("n", 15, "ring events shown by -bundle")
 	)
 	flag.Parse()
 
-	modes := 0
-	for _, set := range []bool{*profPath != "", *dir != "", *bundle != ""} {
-		if set {
-			modes++
-		}
-	}
-	if modes != 1 || (*against != "" && *dir == "") {
-		fmt.Fprintln(os.Stderr, "profreport: exactly one of -prof, -dir, -bundle is required (-against needs -dir)")
+	if (*dir == "") == (*bundle == "") || (*against != "" && *dir == "") {
+		fmt.Fprintln(os.Stderr, "profreport: exactly one of -dir, -bundle is required (-against needs -dir)")
 		flag.Usage()
 		return 2
 	}
 
 	var err error
 	switch {
-	case *profPath != "":
-		err = reportProfile(os.Stdout, *profPath, *value, *topN)
 	case *dir != "" && *against != "":
-		err = diffDirs(os.Stdout, *against, *dir, *topN)
+		err = diffDirs(os.Stdout, *against, *dir)
 	case *dir != "":
-		err = reportDir(os.Stdout, *dir, *topN)
+		err = reportDir(os.Stdout, *dir)
 	default:
 		err = reportBundle(os.Stdout, *bundle, *topN)
 	}

@@ -1,9 +1,9 @@
 package main
 
 // Rendering for the three report modes. All output is deterministic
-// for a given input directory — phases print in canonical pipeline
-// order, functions in the stable order TopFuncs defines — which is
-// what lets testdata goldens pin the format.
+// for a given input directory — CPU windows print in capture order,
+// snapshot phases in canonical pipeline order — which is what lets
+// testdata goldens pin the format.
 
 import (
 	"encoding/json"
@@ -51,92 +51,17 @@ func sortPhases(phases []string) {
 	})
 }
 
-func formatValue(v int64, unit string) string {
-	switch unit {
-	case "nanoseconds":
-		return time.Duration(v).Round(10 * time.Microsecond).String()
-	case "bytes":
-		switch {
-		case v >= 1<<20 || v <= -(1<<20):
-			return fmt.Sprintf("%.1fMB", float64(v)/(1<<20))
-		case v >= 1<<10 || v <= -(1<<10):
-			return fmt.Sprintf("%.1fkB", float64(v)/(1<<10))
-		}
-		return fmt.Sprintf("%dB", v)
-	default:
-		return fmt.Sprint(v)
+func formatBytes(v int64) string {
+	switch {
+	case v >= 1<<20 || v <= -(1<<20):
+		return fmt.Sprintf("%.1fMB", float64(v)/(1<<20))
+	case v >= 1<<10 || v <= -(1<<10):
+		return fmt.Sprintf("%.1fkB", float64(v)/(1<<10))
 	}
+	return fmt.Sprintf("%dB", v)
 }
 
-func signedValue(v int64, unit string) string {
-	if v > 0 {
-		return "+" + formatValue(v, unit)
-	}
-	if v < 0 {
-		return "-" + formatValue(-v, unit)
-	}
-	return "0"
-}
-
-// reportProfile prints the top-N functions of a single pprof file.
-func reportProfile(w io.Writer, path, valueType string, n int) error {
-	p, err := prof.ParseFile(path)
-	if err != nil {
-		return err
-	}
-	idx := p.ValueIndex(valueType)
-	if idx < 0 {
-		return fmt.Errorf("%s: profile has no sample values", path)
-	}
-	vt := p.SampleTypes[idx]
-	fmt.Fprintf(w, "profile: %s\n", filepath.Base(path))
-	fmt.Fprintf(w, "samples: %d, dimension %s/%s, total %s\n",
-		len(p.Samples), vt.Type, vt.Unit, formatValue(p.Total(idx), vt.Unit))
-	writeTop(w, p, idx, vt.Unit, n)
-	return nil
-}
-
-func writeTop(w io.Writer, p *prof.Profile, idx int, unit string, n int) {
-	top := prof.TopFuncs(p, idx)
-	total := p.Total(idx)
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', tabwriter.AlignRight)
-	fmt.Fprintln(tw, "flat\tflat%\tcum\tfunction\t")
-	for i, fs := range top {
-		if i >= n {
-			fmt.Fprintf(tw, "...\t\t\t(%d more)\t\n", len(top)-n)
-			break
-		}
-		pct := 0.0
-		if total > 0 {
-			pct = 100 * float64(fs.Flat) / float64(total)
-		}
-		fmt.Fprintf(tw, "%s\t%.1f%%\t%s\t%s\t\n",
-			formatValue(fs.Flat, unit), pct, formatValue(fs.Cum, unit), fs.Name)
-	}
-	tw.Flush()
-}
-
-// loadPhaseProfiles merges every CPU window of each phase into one
-// per-phase profile.
-func loadPhaseProfiles(dir string, m *prof.Manifest) (map[string]*prof.Profile, error) {
-	byPhase := map[string][]*prof.Profile{}
-	for _, r := range m.ByArtifact(obs.ProfArtifactCPU) {
-		p, err := prof.ParseFile(filepath.Join(dir, r.File))
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", r.File, err)
-		}
-		byPhase[r.Phase] = append(byPhase[r.Phase], p)
-	}
-	out := make(map[string]*prof.Profile, len(byPhase))
-	for phase, ps := range byPhase {
-		merged, err := prof.Merge(ps...)
-		if err != nil {
-			return nil, fmt.Errorf("phase %s: %w", phase, err)
-		}
-		out[phase] = merged
-	}
-	return out, nil
-}
+func formatNanos(v int64) string { return time.Duration(v).Round(time.Millisecond).String() }
 
 func writeHeader(w io.Writer, dir string, m *prof.Manifest) {
 	fmt.Fprintf(w, "profile directory: %s\n", dir)
@@ -149,66 +74,91 @@ func writeHeader(w io.Writer, dir string, m *prof.Manifest) {
 	fmt.Fprintf(w, "%s %s/%s gomaxprocs %d\n", h.Go, h.GOOS, h.GOARCH, h.GOMAXPROCS)
 }
 
-// reportDir prints the per-phase summary of one profile directory:
-// wall-clock and CPU totals per phase, then each phase's top functions.
-func reportDir(w io.Writer, dir string, n int) error {
+// snapshotKinds are the snapshot artifact kinds, in column order.
+var snapshotKinds = []string{
+	obs.ProfArtifactHeap, obs.ProfArtifactAllocs, obs.ProfArtifactGoroutine,
+	obs.ProfArtifactBlock, obs.ProfArtifactMutex,
+}
+
+// cpuGlob is the shell pattern naming a directory's CPU windows.
+func cpuGlob(dir string) string { return filepath.Join(dir, "*-"+obs.ProfArtifactCPU+".pb.gz") }
+
+// reportDir prints one profile directory: the manifest header, the CPU
+// windows with their time ranges, the snapshot counts by phase, and the
+// go tool pprof commands that split the CPU windows by phase label.
+func reportDir(w io.Writer, dir string) error {
 	m, err := prof.ReadManifest(dir)
 	if err != nil {
 		return err
 	}
-	profiles, err := loadPhaseProfiles(dir, m)
-	if err != nil {
-		return err
-	}
 	writeHeader(w, dir, m)
-	cpuRecs := m.ByArtifact(obs.ProfArtifactCPU)
-	fmt.Fprintf(w, "artifacts: %d (%d cpu windows, %d snapshots)\n\n",
-		len(m.Artifacts), len(cpuRecs), len(m.Artifacts)-len(cpuRecs))
 
-	windows := m.PhaseWindows()
-	counts := map[string]int{}
-	for _, r := range cpuRecs {
-		counts[r.Phase]++
-	}
-	phases := make([]string, 0, len(windows))
-	for phase := range windows {
-		phases = append(phases, phase)
-	}
-	sortPhases(phases)
-
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', tabwriter.AlignRight)
-	fmt.Fprintln(tw, "phase\twindows\twall\tcpu\t")
-	for _, phase := range phases {
-		var cpu int64
-		p := profiles[phase]
-		var idx int
-		if p != nil {
-			idx = p.ValueIndex("cpu")
-			cpu = p.Total(idx)
+	// Times print relative to the earliest artifact.
+	var origin int64
+	for i, r := range m.Artifacts {
+		if i == 0 || r.T0 < origin {
+			origin = r.T0
 		}
-		fmt.Fprintf(tw, "%s\t%d\t%s\t%s\t\n",
-			phase, counts[phase],
-			formatValue(windows[phase], "nanoseconds"), formatValue(cpu, "nanoseconds"))
 	}
-	tw.Flush()
-
-	for _, phase := range phases {
-		p := profiles[phase]
-		if p == nil || len(p.Samples) == 0 {
-			continue
+	cpu := m.ByArtifact(obs.ProfArtifactCPU)
+	fmt.Fprintf(w, "\ncpu windows: %d\n", len(cpu))
+	if len(cpu) > 0 {
+		tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', tabwriter.AlignRight)
+		fmt.Fprintln(tw, "file\tstart\tend\twall\t")
+		for _, r := range cpu {
+			fmt.Fprintf(tw, "%s\t%s\t%s\t%s\t\n", r.File,
+				formatNanos(r.T0-origin), formatNanos(r.T1-origin), formatNanos(r.T1-r.T0))
 		}
-		idx := p.ValueIndex("cpu")
-		unit := p.SampleTypes[idx].Unit
-		fmt.Fprintf(w, "\nphase %s — top %d by flat cpu\n", phase, n)
-		writeTop(w, p, idx, unit, n)
+		tw.Flush()
+	}
+
+	counts := map[string]map[string]int{} // phase -> kind -> snapshots
+	var kinds []string
+	total := 0
+	for _, kind := range snapshotKinds {
+		recs := m.ByArtifact(kind)
+		if len(recs) > 0 {
+			kinds = append(kinds, kind)
+		}
+		for _, r := range recs {
+			if counts[r.Phase] == nil {
+				counts[r.Phase] = map[string]int{}
+			}
+			counts[r.Phase][kind]++
+			total++
+		}
+	}
+	fmt.Fprintf(w, "\nsnapshots by phase: %d\n", total)
+	if total > 0 {
+		phases := make([]string, 0, len(counts))
+		for phase := range counts {
+			phases = append(phases, phase)
+		}
+		sortPhases(phases)
+		tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', tabwriter.AlignRight)
+		fmt.Fprintf(tw, "phase\t%s\t\n", strings.Join(kinds, "\t"))
+		for _, phase := range phases {
+			fmt.Fprintf(tw, "%s\t", phase)
+			for _, kind := range kinds {
+				fmt.Fprintf(tw, "%d\t", counts[phase][kind])
+			}
+			fmt.Fprintln(tw)
+		}
+		tw.Flush()
+	}
+
+	if len(cpu) > 0 {
+		fmt.Fprintf(w, "\nper-phase cpu: samples carry a %q label\n", prof.PhaseLabel)
+		fmt.Fprintf(w, "  go tool pprof -tags %s\n", cpuGlob(dir))
+		fmt.Fprintf(w, "  go tool pprof -top -tagfocus=%s=<phase> %s\n", prof.PhaseLabel, cpuGlob(dir))
 	}
 	return nil
 }
 
-// diffDirs prints what changed from the old run to the new one: header
-// environment drift, per-phase wall-clock deltas, and per-phase
-// function-level CPU deltas with the biggest regressions first.
-func diffDirs(w io.Writer, oldDir, newDir string, n int) error {
+// diffDirs prints how the capture environments of two runs differ — the
+// caveats a profile comparison comes with — and the go tool pprof
+// commands that diff their CPU windows function by function.
+func diffDirs(w io.Writer, oldDir, newDir string) error {
 	oldM, err := prof.ReadManifest(oldDir)
 	if err != nil {
 		return err
@@ -217,68 +167,14 @@ func diffDirs(w io.Writer, oldDir, newDir string, n int) error {
 	if err != nil {
 		return err
 	}
-	oldP, err := loadPhaseProfiles(oldDir, oldM)
-	if err != nil {
-		return err
-	}
-	newP, err := loadPhaseProfiles(newDir, newM)
-	if err != nil {
-		return err
-	}
 	fmt.Fprintf(w, "profile diff: %s -> %s\n", oldDir, newDir)
 	fmt.Fprintf(w, "run %s -> %s\n", oldM.Header.RunID, newM.Header.RunID)
 	for _, warn := range envDrift(oldM.Header, newM.Header) {
 		fmt.Fprintf(w, "warning: %s\n", warn)
 	}
-
-	oldW, newW := oldM.PhaseWindows(), newM.PhaseWindows()
-	phaseSet := map[string]bool{}
-	for phase := range oldW {
-		phaseSet[phase] = true
-	}
-	for phase := range newW {
-		phaseSet[phase] = true
-	}
-	phases := make([]string, 0, len(phaseSet))
-	for phase := range phaseSet {
-		phases = append(phases, phase)
-	}
-	sortPhases(phases)
-
-	fmt.Fprintln(w, "\nphase wall-clock (cpu windows)")
-	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', tabwriter.AlignRight)
-	fmt.Fprintln(tw, "phase\told\tnew\tdelta\t")
-	for _, phase := range phases {
-		o, nw := oldW[phase], newW[phase]
-		delta := signedValue(nw-o, "nanoseconds")
-		if o > 0 {
-			delta += fmt.Sprintf(" (%+.1f%%)", 100*float64(nw-o)/float64(o))
-		}
-		fmt.Fprintf(tw, "%s\t%s\t%s\t%s\t\n",
-			phase, formatValue(o, "nanoseconds"), formatValue(nw, "nanoseconds"), delta)
-	}
-	tw.Flush()
-
-	for _, phase := range phases {
-		rows := diffPhase(oldP[phase], newP[phase])
-		if len(rows) == 0 {
-			continue
-		}
-		fmt.Fprintf(w, "\nphase %s — function cpu deltas (top %d, regressions first)\n", phase, n)
-		tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', tabwriter.AlignRight)
-		fmt.Fprintln(tw, "delta\told\tnew\tfunction\t")
-		for i, row := range rows {
-			if i >= n {
-				fmt.Fprintf(tw, "...\t\t\t(%d more)\t\n", len(rows)-n)
-				break
-			}
-			fmt.Fprintf(tw, "%s\t%s\t%s\t%s\t\n",
-				signedValue(row.delta, "nanoseconds"),
-				formatValue(row.old, "nanoseconds"),
-				formatValue(row.new, "nanoseconds"), row.name)
-		}
-		tw.Flush()
-	}
+	fmt.Fprintf(w, "\nfunction cpu deltas (merge the baseline windows, then diff; add -tagfocus=%s=<phase> for one phase):\n", prof.PhaseLabel)
+	fmt.Fprintf(w, "  go tool pprof -proto %s > base.pb.gz\n", cpuGlob(oldDir))
+	fmt.Fprintf(w, "  go tool pprof -top -diff_base base.pb.gz %s\n", cpuGlob(newDir))
 	return nil
 }
 
@@ -297,45 +193,6 @@ func envDrift(old, new prof.Record) []string {
 		out = append(out, fmt.Sprintf("gomaxprocs differs: %d -> %d", old.GOMAXPROCS, new.GOMAXPROCS))
 	}
 	return out
-}
-
-type diffRow struct {
-	name     string
-	old, new int64
-	delta    int64
-}
-
-// diffPhase joins the flat-CPU tables of two per-phase profiles.
-// Rows sort by delta descending (worst regression first), ties by name.
-func diffPhase(oldP, newP *prof.Profile) []diffRow {
-	flat := map[string]*diffRow{}
-	add := func(p *prof.Profile, set func(*diffRow, int64)) {
-		if p == nil {
-			return
-		}
-		for _, fs := range prof.TopFuncs(p, p.ValueIndex("cpu")) {
-			row := flat[fs.Name]
-			if row == nil {
-				row = &diffRow{name: fs.Name}
-				flat[fs.Name] = row
-			}
-			set(row, fs.Flat)
-		}
-	}
-	add(oldP, func(r *diffRow, v int64) { r.old = v })
-	add(newP, func(r *diffRow, v int64) { r.new = v })
-	rows := make([]diffRow, 0, len(flat))
-	for _, row := range flat {
-		row.delta = row.new - row.old
-		rows = append(rows, *row)
-	}
-	sort.Slice(rows, func(i, j int) bool {
-		if rows[i].delta != rows[j].delta {
-			return rows[i].delta > rows[j].delta
-		}
-		return rows[i].name < rows[j].name
-	})
-	return rows
 }
 
 // reportBundle renders a postmortem bundle: what tripped the recorder,
@@ -386,8 +243,8 @@ func reportBundle(w io.Writer, dir string, n int) error {
 	if data, err := os.ReadFile(filepath.Join(dir, "runtime.json")); err == nil {
 		if err := json.Unmarshal(data, &rt); err == nil {
 			fmt.Fprintf(w, "runtime: %d goroutines, heap %s (%s sys), %d GCs, gomaxprocs %d\n",
-				rt.Goroutines, formatValue(rt.HeapAlloc, "bytes"),
-				formatValue(rt.HeapSys, "bytes"), rt.NumGC, rt.GOMAXPROCS)
+				rt.Goroutines, formatBytes(rt.HeapAlloc),
+				formatBytes(rt.HeapSys), rt.NumGC, rt.GOMAXPROCS)
 		}
 	}
 

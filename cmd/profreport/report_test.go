@@ -1,9 +1,8 @@
 package main
 
-// Golden-fixture tests: the profile directories are built from literal
-// profiles through the deterministic encoder and hand-written manifest
-// records with fixed timestamps, so the rendered reports are stable
-// byte-for-byte. Regenerate with
+// Golden-fixture tests: the profile directories are hand-written
+// manifest records with fixed timestamps, so the rendered reports are
+// stable byte-for-byte. Regenerate with
 //
 //	go test ./cmd/profreport -run TestGolden -update
 
@@ -24,9 +23,8 @@ var update = flag.Bool("update", false, "rewrite golden files")
 
 const base = int64(1_700_000_000_000_000_000)
 
-// writeFixtureDir builds a profile directory from manifest records and
-// per-file profiles.
-func writeFixtureDir(t *testing.T, dir string, header prof.Record, artifacts []prof.Record, profiles map[string]*prof.Profile) {
+// writeFixtureDir writes a profile directory's manifest from records.
+func writeFixtureDir(t *testing.T, dir string, header prof.Record, artifacts []prof.Record) {
 	t.Helper()
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		t.Fatal(err)
@@ -49,104 +47,37 @@ func writeFixtureDir(t *testing.T, dir string, header prof.Record, artifacts []p
 	if err := os.WriteFile(filepath.Join(dir, prof.ManifestName), man.Bytes(), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	for name, p := range profiles {
-		raw, err := p.Encode()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := os.WriteFile(filepath.Join(dir, name), raw, 0o644); err != nil {
-			t.Fatal(err)
-		}
-	}
 }
 
-func cpuProfile(samples ...prof.Sample) *prof.Profile {
-	return &prof.Profile{
-		SampleTypes: []prof.ValueType{
-			{Type: "samples", Unit: "count"},
-			{Type: "cpu", Unit: "nanoseconds"},
-		},
-		Samples:    samples,
-		PeriodType: prof.ValueType{Type: "cpu", Unit: "nanoseconds"},
-		Period:     10_000_000,
-	}
-}
-
-func sample(ns int64, stack ...string) prof.Sample {
-	return prof.Sample{Stack: stack, Values: []int64{ns / 10_000_000, ns}}
-}
-
-const (
-	fnScore   = "adaptiverank/internal/ranking.(*RSVM).Score"
-	fnDot     = "adaptiverank/internal/vector.Dot"
-	fnSort    = "sort.Sort"
-	fnRank    = "adaptiverank/internal/pipeline.(*Pipeline).rank"
-	fnExtract = "adaptiverank/internal/extract.(*Simulated).Extract"
-	fnLearn   = "adaptiverank/internal/ranking.(*RSVM).learn"
-)
-
-// fixtureOld builds the baseline run's profile directory.
+// fixtureOld builds the baseline run's profile directory: two CPU
+// windows spanning several phases, and the snapshots of a run with one
+// sample, one rank and one train-update phase.
 func fixtureOld(t *testing.T, dir string) {
 	writeFixtureDir(t, dir,
 		prof.Record{RunID: "run-old", Fingerprint: "fp-old", Go: "go1.24.0", GOOS: "linux", GOARCH: "amd64", GOMAXPROCS: 8},
 		[]prof.Record{
-			{Artifact: obs.ProfArtifactCPU, File: "0001-cpu.pb.gz", Phase: obs.SpanSample, Span: 2, T0: base, T1: base + 10e6},
-			{Artifact: obs.ProfArtifactHeap, File: "0002-heap.pb.gz", Phase: obs.SpanSample, Span: 2, T0: base + 10e6, T1: base + 10e6},
-			{Artifact: obs.ProfArtifactCPU, File: "0003-cpu.pb.gz", Phase: obs.SpanRank, Span: 3, T0: base + 10e6, T1: base + 30e6},
-			{Artifact: obs.ProfArtifactCPU, File: "0004-cpu.pb.gz", Phase: obs.SpanRank, Span: 5, T0: base + 40e6, T1: base + 60e6},
-			{Artifact: obs.ProfArtifactCPU, File: "0005-cpu.pb.gz", Phase: obs.ProfPhaseExtract, T0: base + 30e6, T1: base + 40e6},
-		},
-		map[string]*prof.Profile{
-			"0001-cpu.pb.gz": cpuProfile(
-				sample(4e6, fnScore, fnRank),
-				sample(2e6, fnDot, fnScore, fnRank),
-			),
-			"0002-heap.pb.gz": &prof.Profile{
-				SampleTypes: []prof.ValueType{{Type: "inuse_space", Unit: "bytes"}},
-				Samples:     []prof.Sample{{Stack: []string{fnScore}, Values: []int64{1 << 20}}},
-			},
-			"0003-cpu.pb.gz": cpuProfile(
-				sample(10e6, fnScore, fnRank),
-				sample(6e6, fnDot, fnScore, fnRank),
-				sample(2e6, fnSort, fnRank),
-			),
-			"0004-cpu.pb.gz": cpuProfile(
-				sample(8e6, fnScore, fnRank),
-				sample(4e6, fnDot, fnScore, fnRank),
-			),
-			"0005-cpu.pb.gz": cpuProfile(
-				sample(9e6, fnExtract),
-			),
+			{Artifact: obs.ProfArtifactHeap, File: "0001-heap.pb.gz", Phase: obs.ProfPhaseIdle, T0: base, T1: base},
+			{Artifact: obs.ProfArtifactAllocs, File: "0002-allocs.pb.gz", Phase: obs.ProfPhaseIdle, T0: base, T1: base},
+			{Artifact: obs.ProfArtifactGoroutine, File: "0003-goroutine.pb.gz", Phase: obs.ProfPhaseIdle, T0: base, T1: base},
+			{Artifact: obs.ProfArtifactHeap, File: "0005-heap.pb.gz", Phase: obs.SpanRun, Span: 1, T0: base + 1e6, T1: base + 1e6},
+			{Artifact: obs.ProfArtifactHeap, File: "0006-heap.pb.gz", Phase: obs.SpanSample, Span: 2, T0: base + 10e6, T1: base + 10e6},
+			{Artifact: obs.ProfArtifactGoroutine, File: "0007-goroutine.pb.gz", Phase: obs.SpanSample, Span: 2, T0: base + 10e6, T1: base + 10e6},
+			{Artifact: obs.ProfArtifactHeap, File: "0008-heap.pb.gz", Phase: obs.SpanRank, Span: 3, T0: base + 30e6, T1: base + 30e6},
+			{Artifact: obs.ProfArtifactGoroutine, File: "0009-goroutine.pb.gz", Phase: obs.SpanRank, Span: 3, T0: base + 30e6, T1: base + 30e6},
+			{Artifact: obs.ProfArtifactCPU, File: "0004-cpu.pb.gz", T0: base, T1: base + 40e6},
+			{Artifact: obs.ProfArtifactHeap, File: "0011-heap.pb.gz", Phase: obs.SpanTrainUpdate, Span: 9, T0: base + 55e6, T1: base + 55e6},
+			{Artifact: obs.ProfArtifactCPU, File: "0010-cpu.pb.gz", T0: base + 40e6, T1: base + 60e6},
+			{Artifact: obs.ProfArtifactMetrics, File: "metrics.jsonl", T0: base, T1: base + 60e6},
 		})
 }
 
-// fixtureNew builds the current run: rank regressed (sort got hot),
-// gomaxprocs drifted, and a train-update phase appeared.
+// fixtureNew builds the current run: gomaxprocs drifted.
 func fixtureNew(t *testing.T, dir string) {
 	writeFixtureDir(t, dir,
 		prof.Record{RunID: "run-new", Fingerprint: "fp-new", Go: "go1.24.0", GOOS: "linux", GOARCH: "amd64", GOMAXPROCS: 4},
 		[]prof.Record{
-			{Artifact: obs.ProfArtifactCPU, File: "0001-cpu.pb.gz", Phase: obs.SpanSample, Span: 2, T0: base, T1: base + 11e6},
-			{Artifact: obs.ProfArtifactCPU, File: "0002-cpu.pb.gz", Phase: obs.SpanRank, Span: 3, T0: base + 11e6, T1: base + 71e6},
-			{Artifact: obs.ProfArtifactCPU, File: "0003-cpu.pb.gz", Phase: obs.ProfPhaseExtract, T0: base + 71e6, T1: base + 80e6},
-			{Artifact: obs.ProfArtifactCPU, File: "0004-cpu.pb.gz", Phase: obs.SpanTrainUpdate, Span: 9, T0: base + 80e6, T1: base + 95e6},
-		},
-		map[string]*prof.Profile{
-			"0001-cpu.pb.gz": cpuProfile(
-				sample(4e6, fnScore, fnRank),
-				sample(3e6, fnDot, fnScore, fnRank),
-			),
-			"0002-cpu.pb.gz": cpuProfile(
-				sample(18e6, fnScore, fnRank),
-				sample(10e6, fnDot, fnScore, fnRank),
-				sample(26e6, fnSort, fnRank),
-			),
-			"0003-cpu.pb.gz": cpuProfile(
-				sample(8e6, fnExtract),
-			),
-			"0004-cpu.pb.gz": cpuProfile(
-				sample(12e6, fnLearn),
-			),
+			{Artifact: obs.ProfArtifactHeap, File: "0001-heap.pb.gz", Phase: obs.ProfPhaseIdle, T0: base, T1: base},
+			{Artifact: obs.ProfArtifactCPU, File: "0002-cpu.pb.gz", T0: base, T1: base + 95e6},
 		})
 }
 
@@ -175,12 +106,11 @@ func TestGoldenReportDir(t *testing.T) {
 	dir := filepath.Join(t.TempDir(), "old")
 	fixtureOld(t, dir)
 	var buf bytes.Buffer
-	if err := reportDir(&buf, dir, 10); err != nil {
+	if err := reportDir(&buf, dir); err != nil {
 		t.Fatalf("reportDir: %v", err)
 	}
-	// The temp path varies per run; normalize the first line.
-	out := buf.Bytes()
-	out = bytes.Replace(out, []byte(dir), []byte("OLD"), 1)
+	// The temp path varies per run; normalize it.
+	out := bytes.ReplaceAll(buf.Bytes(), []byte(dir), []byte("OLD"))
 	checkGolden(t, "report_dir.golden", out)
 }
 
@@ -190,12 +120,11 @@ func TestGoldenDiff(t *testing.T) {
 	fixtureOld(t, oldDir)
 	fixtureNew(t, newDir)
 	var buf bytes.Buffer
-	if err := diffDirs(&buf, oldDir, newDir, 5); err != nil {
+	if err := diffDirs(&buf, oldDir, newDir); err != nil {
 		t.Fatalf("diffDirs: %v", err)
 	}
-	out := buf.Bytes()
-	out = bytes.Replace(out, []byte(oldDir), []byte("OLD"), 1)
-	out = bytes.Replace(out, []byte(newDir), []byte("NEW"), 1)
+	out := bytes.ReplaceAll(buf.Bytes(), []byte(oldDir), []byte("OLD"))
+	out = bytes.ReplaceAll(out, []byte(newDir), []byte("NEW"))
 	checkGolden(t, "diff.golden", out)
 }
 
@@ -232,33 +161,10 @@ func TestGoldenBundle(t *testing.T) {
 	checkGolden(t, "bundle.golden", out)
 }
 
-func TestGoldenSingleProfile(t *testing.T) {
-	dir := t.TempDir()
-	p := cpuProfile(
-		sample(10e6, fnScore, fnRank),
-		sample(6e6, fnDot, fnScore, fnRank),
-		sample(2e6, fnSort, fnRank),
-	)
-	raw, err := p.Encode()
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(dir, "cpu.pb.gz")
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if err := reportProfile(&buf, path, "cpu", 2); err != nil {
-		t.Fatalf("reportProfile: %v", err)
-	}
-	checkGolden(t, "single_profile.golden", buf.Bytes())
-}
-
 func TestRunUsageErrors(t *testing.T) {
 	// No mode flags: run() must fail with exit code 2, not crash.
-	oldArgs := os.Args
-	defer func() { os.Args = oldArgs; flag.CommandLine = flag.NewFlagSet(os.Args[0], flag.ExitOnError) }()
-	t.Cleanup(func() {})
+	oldArgs, oldFlags := os.Args, flag.CommandLine
+	defer func() { os.Args, flag.CommandLine = oldArgs, oldFlags }()
 	os.Args = []string{"profreport"}
 	flag.CommandLine = flag.NewFlagSet("profreport", flag.ContinueOnError)
 	flag.CommandLine.SetOutput(new(bytes.Buffer))

@@ -118,10 +118,11 @@ const (
 	PhaseStrategyObserve = "strategy-observe"
 )
 
-// Profile-phase labels: the phase attribution vocabulary of the
-// internal/obs/prof manifest. Named phase spans (SpanSample,
+// Profile-phase labels: the phase attribution vocabulary of
+// internal/obs/prof, used as the pprof "phase" label on CPU samples and
+// the Phase of snapshot records. Named phase spans (SpanSample,
 // SpanTrainInit, SpanDetectorPrime, SpanRank, SpanTrainUpdate) label
-// artifacts with their own span name; the gaps are labelled explicitly:
+// with their own span name; the gaps are labelled explicitly:
 // ProfPhaseExtract is the document-extraction loop between phase spans
 // of an open run, ProfPhaseIdle is everything outside a run (process
 // start-up, between experiment-suite runs, shutdown).

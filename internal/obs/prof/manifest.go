@@ -1,16 +1,16 @@
 package prof
 
 // The profile-directory manifest: one JSONL file keying every captured
-// artifact to run id, phase, span id, and wall-clock window, so profiles
-// join against the event trace (span ids and UnixNano timestamps are the
-// same vocabulary obs.Event uses). The first record is a header carrying
-// the run identity and environment; every subsequent record describes
-// one artifact file in the same directory.
+// artifact to run id and wall-clock window (snapshots also to phase and
+// span id), so profiles join against the event trace (span ids and
+// UnixNano timestamps are the same vocabulary obs.Event uses). The first
+// record is a header carrying the run identity and environment; every
+// subsequent record describes one artifact file in the same directory.
 //
 // The writer appends and flushes per record and fsyncs on close — the
-// same crash-safety contract as the event trace and the resume journal —
-// and the reader tolerates a truncated final line, so a manifest cut off
-// by a crash still yields every completed artifact.
+// same crash-safety contract as the resume journal — and the reader
+// tolerates a truncated final line, so a manifest cut off by a crash
+// still yields every completed artifact.
 
 import (
 	"encoding/json"
@@ -43,11 +43,12 @@ type Record struct {
 	GOMAXPROCS  int    `json:"gomaxprocs,omitempty"`
 
 	// Artifact fields. Artifact is an obs.ProfArtifact* kind; File is the
-	// artifact's name inside the directory; Phase is the profile-phase
-	// label (a span name, obs.ProfPhaseExtract, or obs.ProfPhaseIdle);
-	// Span is the id of the span the window is attributed to (0 when the
-	// window is outside any phase span); T0/T1 bound the capture window
-	// in UnixNano.
+	// artifact's name inside the directory; T0/T1 bound the capture window
+	// in UnixNano. Snapshots also carry Phase, the profile phase (a span
+	// name, obs.ProfPhaseExtract, or obs.ProfPhaseIdle), and Span, the id
+	// of the span they are attributed to (0 outside any phase span). CPU
+	// windows carry neither: a window can span several phases, and its
+	// samples carry the phase as a pprof label instead.
 	Artifact string `json:"artifact,omitempty"`
 	File     string `json:"file,omitempty"`
 	Phase    string `json:"phase,omitempty"`
@@ -69,16 +70,6 @@ func (m *Manifest) ByArtifact(kind string) []Record {
 		if r.Artifact == kind {
 			out = append(out, r)
 		}
-	}
-	return out
-}
-
-// PhaseWindows sums each phase's total captured CPU-window wall-clock
-// time (T1-T0 across that phase's CPU artifacts), in nanoseconds.
-func (m *Manifest) PhaseWindows() map[string]int64 {
-	out := map[string]int64{}
-	for _, r := range m.ByArtifact("cpu") {
-		out[r.Phase] += r.T1 - r.T0
 	}
 	return out
 }
@@ -141,5 +132,3 @@ func (mw *manifestWriter) append(r Record) error {
 }
 
 func (mw *manifestWriter) close() error { return mw.jl.Close() }
-
-func readFile(path string) ([]byte, error) { return os.ReadFile(path) }
