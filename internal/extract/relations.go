@@ -204,6 +204,7 @@ func newPOSVM() *poSVM {
 				cls.model.Step(cls.features(lower[i], p.arg1, p.arg2, true), y)
 			}
 		}
+		cls.model.Settle()
 		poCls = cls
 	})
 	return poCls

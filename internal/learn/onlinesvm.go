@@ -34,6 +34,11 @@ func (e ElasticNet) L1Coeff() float64 { return e.LambdaAll * (1 - e.LambdaL2) }
 // selection of Section 3.1. With UseBias=false and difference vectors as
 // inputs it is the RSVM-IE pair learner; with UseBias=true it is a BAgg-IE
 // committee member and the Top-K side classifier.
+//
+// The shrinkage is lazy (vector.Weights.Prox): a step costs O(features
+// it touches), and the model is settled — every pending penalty paid —
+// only when its owner calls Settle. Steps leave it unsettled; its
+// readers still see exact weights.
 type OnlineSVM struct {
 	Reg     ElasticNet
 	UseBias bool
@@ -50,8 +55,9 @@ func NewOnlineSVM(reg ElasticNet, useBias bool) *OnlineSVM {
 	return &OnlineSVM{Reg: reg, UseBias: useBias, w: vector.NewWeights()}
 }
 
-// Clone returns a deep copy (used by the Mod-C shadow model). The copy
-// starts with an empty difference buffer of its own.
+// Clone returns a deep copy (used by the Mod-C shadow model) in settled
+// form (see vector.Weights.Clone). The copy starts with an empty
+// difference buffer of its own.
 func (m *OnlineSVM) Clone() *OnlineSVM {
 	return &OnlineSVM{Reg: m.Reg, UseBias: m.UseBias, w: m.w.Clone(), bias: m.bias, t: m.t}
 }
@@ -62,12 +68,20 @@ func (m *OnlineSVM) Steps() int { return m.t }
 // Weights exposes the live weight vector; callers must not mutate it.
 func (m *OnlineSVM) Weights() *vector.Weights { return m.w }
 
+// Settle pays every pending penalty, leaving a plain dense weight vector
+// (vector.Weights.Settle). Settling rounds differently from stepping on,
+// so an owner settles at points its training stream alone fixes — the
+// end of a training pass, or its own read of the model — never on
+// another reader's behalf.
+func (m *OnlineSVM) Settle() { m.w.Settle() }
+
 // Bias returns the bias term (always 0 when UseBias is false).
 func (m *OnlineSVM) Bias() float64 { return m.bias }
 
 // Margin returns w·x + b through the weight vector's margin kernel. It
-// takes the packed view (Sparse.Packed is zero-copy), so training's hinge
-// test and scoring share one fold.
+// takes the packed view (Sparse.Packed is zero-copy); training's hinge
+// test folds the same products through Weights.CatchUp, so the two agree
+// bit for bit.
 func (m *OnlineSVM) Margin(x vector.Packed) float64 { return m.w.Margin(x, m.bias, nil) }
 
 // Prob returns the logistic-normalized score 1/(1+exp(-(w·x+b))), the
@@ -79,7 +93,8 @@ func (m *OnlineSVM) Prob(x vector.Packed) float64 {
 // Step performs one online update on example x with label y in {-1,+1}:
 // a Pegasos gradient step on the hinge loss with learning rate
 // eta_t = 1/(lambda*t), followed by the proximal elastic-net shrinkage
-// that decays all weights (L2) and clips them toward zero (L1).
+// that decays all weights (L2) and clips them toward zero (L1). The hinge
+// test's margin pass also collects the penalties x's weights owe.
 func (m *OnlineSVM) Step(x vector.Sparse, y float64) {
 	m.t++
 	lambda := m.Reg.L2Coeff()
@@ -96,7 +111,7 @@ func (m *OnlineSVM) Step(x vector.Sparse, y float64) {
 		eta = 1 // keep the first steps bounded
 	}
 
-	if y*m.Margin(x.Packed()) < 1 { // hinge sub-gradient
+	if y*m.w.CatchUp(x.Packed(), m.bias) < 1 { // hinge sub-gradient
 		m.w.AddSparse(eta*y, x)
 		if m.UseBias {
 			m.bias += eta * y
@@ -105,12 +120,12 @@ func (m *OnlineSVM) Step(x vector.Sparse, y float64) {
 
 	// Proximal elastic-net shrinkage. Each weight first decays
 	// multiplicatively (L2) and is then soft-thresholded (L1); weights
-	// that cross zero leave the sparse model's support.
+	// that cross zero leave the sparse model's support when they pay.
 	decay := 1 - eta*m.Reg.L2Coeff()
 	if decay < 0 {
 		decay = 0
 	}
-	m.w.Shrink(decay, eta*m.Reg.L1Coeff())
+	m.w.Prox(decay, eta*m.Reg.L1Coeff())
 }
 
 // StepPair performs one stochastic pairwise descent update (RSVM-IE,

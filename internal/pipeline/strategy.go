@@ -84,11 +84,13 @@ func (s *Learned) trainFeatures(ld LabeledDoc) vector.Sparse {
 }
 
 // Init implements Strategy: the initial ranking model is trained on the
-// sample, using tuple-attribute-boosted training features.
+// sample, using tuple-attribute-boosted training features, and settled,
+// so the rank pass's score workers read a plain dense vector.
 func (s *Learned) Init(sample []LabeledDoc) {
 	for _, ld := range sample {
 		s.R.Learn(s.trainFeatures(ld), ld.Useful)
 	}
+	s.R.Settle()
 }
 
 // Score implements Strategy over the cached feature vector. The linear
@@ -148,11 +150,13 @@ func (s *Learned) ScoreBatch(docs []*corpus.Document, out []float64) bool {
 func (s *Learned) Observe(LabeledDoc) bool { return false }
 
 // Update implements Strategy: feed the buffered documents to the online
-// learner (no retraining from scratch).
+// learner (no retraining from scratch), then settle it once, as Init
+// does.
 func (s *Learned) Update(buffered []LabeledDoc) {
 	for _, ld := range buffered {
 		s.R.Learn(s.trainFeatures(ld), ld.Useful)
 	}
+	s.R.Settle()
 }
 
 // Model implements Modeler.

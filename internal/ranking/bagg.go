@@ -161,6 +161,13 @@ func (b *BAggIE) Model() *vector.Weights {
 	return sum
 }
 
+// Settle implements Ranker: it settles every committee member.
+func (b *BAggIE) Settle() {
+	for _, m := range b.members {
+		m.Settle()
+	}
+}
+
 // Clone implements Ranker.
 func (b *BAggIE) Clone() Ranker {
 	c := &BAggIE{

@@ -124,6 +124,37 @@ func TestRSVMIEMatchesReference(t *testing.T) {
 	}
 }
 
+// TestRSVMIEMatchesReferenceOverLongStream settles only after at least
+// 20,000 pair steps — on the live workload one update folds thousands of
+// documents, four pair steps each — cycling the corpus, and holds the
+// scores of the pending model, then of the settled one, to the
+// reference at the same tolerance.
+func TestRSVMIEMatchesReferenceOverLongStream(t *testing.T) {
+	xs, ys := parityCorpus(t)
+	prod := ranking.NewRSVMIE(ranking.RSVMOptions{Seed: 99})
+	ref := ranking.NewReferenceRSVMIE(99)
+	for i := 0; prod.Steps() < 20000; i++ {
+		x, y := xs[i%len(xs)], ys[i%len(xs)]
+		prod.Learn(x, y)
+		ref.Learn(x, y)
+	}
+	for _, stage := range []string{"pending", "settled"} {
+		if stage == "settled" {
+			prod.Settle()
+		}
+		d, at := maxScoreDelta(xs, prod.Score, ref.Score)
+		t.Logf("%s after %d steps: max |Δ| = %g", stage, prod.Steps(), d)
+		if d > parityTolerance {
+			t.Errorf("%s after %d steps: RSVM-IE diverged from reference: |Δ| = %g at doc %d (prod %g, ref %g)",
+				stage, prod.Steps(), d, at, prod.Score(xs[at]), ref.Score(xs[at]))
+		}
+		if d, at := maxBatchDelta(xs, prod, ref.Score); d > parityTolerance {
+			t.Errorf("%s after %d steps: RSVM-IE ScoreBatch diverged from reference: |Δ| = %g at doc %d",
+				stage, prod.Steps(), d, at)
+		}
+	}
+}
+
 func TestBAggIEMatchesReference(t *testing.T) {
 	xs, ys := parityCorpus(t)
 	prod := ranking.NewBAggIE(ranking.BAggOptions{})

@@ -23,6 +23,10 @@ type Ranker interface {
 	Model() *vector.Weights
 	// Clone deep-copies the ranker (Mod-C trains a shadow copy).
 	Clone() Ranker
+	// Settle pays the model's pending regularization (see
+	// learn.OnlineSVM.Settle). Learn leaves the model unsettled; its
+	// owner settles once per training pass, not per Learn call.
+	Settle()
 }
 
 // reservoir keeps a bounded uniform sample of feature vectors via

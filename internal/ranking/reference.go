@@ -41,6 +41,9 @@ func (r *RandomRanker) Score(vector.Sparse) float64 {
 // Model implements Ranker (none).
 func (r *RandomRanker) Model() *vector.Weights { return nil }
 
+// Settle implements Ranker (no-op).
+func (r *RandomRanker) Settle() {}
+
 // Clone implements Ranker.
 func (r *RandomRanker) Clone() Ranker {
 	return &RandomRanker{rng: rand.New(rand.NewSource(r.rng.Int63()))}

@@ -77,8 +77,9 @@ func (r *RSVMIE) Name() string { return "RSVM-IE" }
 
 // Instrument implements obs.Instrumentable: Learn calls are timed into a
 // latency histogram, Pegasos gradient steps are counted, and the model's
-// non-zero support is tracked as a gauge. Clones (the Mod-C shadow model)
-// are never instrumented, so the metrics describe the live model only.
+// non-zero support is set as a gauge at every Settle. Clones (the Mod-C
+// shadow model) are never instrumented, so the metrics describe the live
+// model only.
 func (r *RSVMIE) Instrument(reg *obs.Registry, _ obs.Recorder) {
 	r.obsLearn = reg.Histogram(obs.MetricRankingRSVMLearnSeconds, nil)
 	r.obsSteps = reg.Counter(obs.MetricRankingRSVMSteps)
@@ -106,7 +107,6 @@ func (r *RSVMIE) Learn(x vector.Sparse, useful bool) {
 	r.obsLearn.ObserveDuration(time.Since(t)) //lint:allow detrand measured telemetry only; never feeds model state
 	steps := r.model.Steps() - s0
 	r.obsSteps.Add(int64(steps))
-	r.obsSupport.Set(float64(r.model.Weights().NNZ()))
 	sp.SetNum("steps", float64(steps)).End()
 }
 
@@ -133,6 +133,15 @@ func (r *RSVMIE) Score(x vector.Sparse) float64 { return r.model.Margin(x.Packed
 
 // Model implements Ranker.
 func (r *RSVMIE) Model() *vector.Weights { return r.model.Weights() }
+
+// Settle implements Ranker. The support gauge is read here, where the
+// support is already settled, so instrumentation adds no settle point.
+func (r *RSVMIE) Settle() {
+	r.model.Settle()
+	if r.obsSupport != nil {
+		r.obsSupport.Set(float64(r.model.Weights().NNZ()))
+	}
+}
 
 // Clone implements Ranker.
 func (r *RSVMIE) Clone() Ranker {

@@ -84,6 +84,7 @@ func LearnQueries(coll *corpus.Collection, useful func(*corpus.Document) bool, n
 			model.Step(e.x, e.y)
 		}
 	}
+	model.Settle()
 
 	top := model.Weights().TopK(numQueries * 2)
 	queries := make([]string, 0, numQueries)

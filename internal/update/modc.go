@@ -131,6 +131,7 @@ func (m *ModC) Observe(x vector.Sparse, useful bool) bool {
 	trained := false
 	if m.rng.Float64() < m.Rho {
 		m.shadow.Learn(x, useful)
+		m.shadow.Settle() // the detector's own read follows
 		m.dirty = true
 		trained = true
 	}

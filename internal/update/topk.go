@@ -167,6 +167,7 @@ func (t *TopK) Observe(x vector.Sparse, useful bool) bool {
 // recompute refreshes cur and LastDistance from the side classifier's
 // current weights, reusing the detector's buffers.
 func (t *TopK) recompute() {
+	t.side.Settle()
 	t.cur = t.side.Weights().AppendTopK(t.cur[:0], t.K)
 	t.LastDistance = t.fr.distance(t.ref, t.cur)
 	t.curSteps = t.side.Steps()
@@ -232,6 +233,7 @@ func topKEvidence(ref, cur []vector.WeightedFeature) (entered, left int, displac
 
 // Reset implements Detector: re-baseline the reference list.
 func (t *TopK) Reset() {
+	t.side.Settle()
 	t.ref = t.side.Weights().AppendTopK(t.ref[:0], t.K)
 	t.curSteps = -1
 }

@@ -29,8 +29,9 @@ type DriftStats struct {
 func Drift(prev, cur *Weights) DriftStats {
 	var l1, l2 float64
 	var entered, left int
-	for i := range int32(max(len(prev.v), len(cur.v))) {
-		pv, cv := prev.At(i), cur.At(i)
+	p, c := prev.values(), cur.values()
+	for i := range max(len(p), len(c)) {
+		pv, cv := at(p, i), at(c, i)
 		if cv != 0 && pv == 0 {
 			entered++
 		}
@@ -55,10 +56,19 @@ func Drift(prev, cur *Weights) DriftStats {
 // tiebreaker; Weight carries the signed delta cur−prev.
 func TopMovers(prev, cur *Weights, k int) []WeightedFeature {
 	s := selection{k: k}
-	for i := range int32(max(len(prev.v), len(cur.v))) {
-		if d := cur.At(i) - prev.At(i); d != 0 {
-			s.offer(WeightedFeature{Index: i, Weight: d})
+	p, c := prev.values(), cur.values()
+	for i := range max(len(p), len(c)) {
+		if d := at(c, i) - at(p, i); d != 0 {
+			s.offer(WeightedFeature{Index: int32(i), Weight: d})
 		}
 	}
 	return s.sorted()
+}
+
+// at returns v[i], or 0 past the end.
+func at(v []float64, i int) float64 {
+	if i < len(v) {
+		return v[i]
+	}
+	return 0
 }

@@ -31,6 +31,18 @@ func randSparse(rng *rand.Rand, maxNNZ int, width int32) Sparse {
 	return NewSparse(idx, val)
 }
 
+// dyadicSparse is randSparse with values in quarters from −2 to 2.
+func dyadicSparse(rng *rand.Rand, maxNNZ int, width int32) Sparse {
+	n := rng.Intn(maxNNZ + 1)
+	idx := make([]int32, n)
+	val := make([]float64, n)
+	for k := 0; k < n; k++ {
+		idx[k] = rng.Int31n(width)
+		val[k] = float64(rng.Intn(17)-8) / 4
+	}
+	return NewSparse(idx, val)
+}
+
 func approxEq(a, b float64) bool {
 	scale := math.Max(1, math.Max(math.Abs(a), math.Abs(b)))
 	return math.Abs(a-b) <= 1e-9*scale
@@ -130,11 +142,13 @@ func TestPropertyNewSparseFoldsDuplicates(t *testing.T) {
 
 // TestPropertyWeightsMatchDense drives a Weights vector and a plain map
 // oracle through the same random mutations — Set/Add (also on ids past
-// the current length), AddSparse, the elastic-net Shrink that drives
-// weights across zero, and clone-then-mutate — and checks every
-// observable after each trial, the nonzero counter included. All values
-// are dyadic rationals, so every operation is exact and the two must
-// agree exactly on support and values.
+// the current length), AddSparse, the lazy elastic-net step (Prox, then
+// sometimes Settle) that drives weights across zero while the oracle
+// applies the eager step to every weight, and clone-then-mutate — and
+// checks every observable after each trial, the nonzero counter
+// included. All values and decays are dyadic rationals, so every
+// operation is exact: the lazy step must equal the eager one exactly, on
+// support and values, settled or not.
 func TestPropertyWeightsMatchDense(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	const width = 48
@@ -169,13 +183,16 @@ func TestPropertyWeightsMatchDense(t *testing.T) {
 			put(i, oracle[i]+v)
 		case 3:
 			a := float64(rng.Intn(5) - 2)
-			x := randSparse(rng, 10, width)
+			x := dyadicSparse(rng, 10, width)
 			w.AddSparse(a, x)
 			x.Range(func(i int32, v float64) { put(i, oracle[i]+a*v) })
 		case 4:
-			decay := []float64{1, 0.75, 0.5, 0}[rng.Intn(4)]
+			decay := []float64{1, 0.5, 0.25, 0}[rng.Intn(4)]
 			thresh := []float64{0, 0.25, 0.5, 1, 2}[rng.Intn(5)]
-			w.Shrink(decay, thresh)
+			w.Prox(decay, thresh)
+			if rng.Intn(2) == 0 {
+				w.Settle()
+			}
 			for i, v := range oracle {
 				nv := math.Abs(v)*decay - thresh
 				if nv <= 0 {
