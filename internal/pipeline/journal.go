@@ -22,10 +22,22 @@ const journalVersion = 1
 // place to die).
 const journalLabel = "journal"
 
+// ModelArithmetic versions the floating-point arithmetic of training:
+// every journaled snapshot hashes weights produced under one version,
+// and a build under another cannot reproduce them. Bump it in the change
+// that replaces TestModelTrajectoryDigest's constants.
+const ModelArithmetic = 1
+
 // ErrResumeDiverged marks a resumed run whose replayed model state does
 // not match the journal's snapshot: the result would silently differ
 // from the interrupted run, so the pipeline aborts instead.
 var ErrResumeDiverged = errors.New("pipeline: resume diverged")
+
+// ErrModelArithmetic marks a journal holding snapshots hashed under a
+// different ModelArithmetic than this build's. They can never match a
+// replay, so OpenJournal refuses the journal before anything is
+// replayed.
+var ErrModelArithmetic = errors.New("pipeline: journal snapshots were hashed under another build's model arithmetic: delete the journal to start over")
 
 // journalRecord is the JSONL wire format of one run-journal line. The
 // journal is an append-only account of everything a run learned the hard
@@ -46,12 +58,16 @@ type journalRecord struct {
 	Useful bool           `json:"useful,omitempty"`
 	Tuples []journalTuple `json:"tuples,omitempty"`
 	Reason string         `json:"reason,omitempty"`
-	// Pos, NNZ, and Sum describe one model snapshot ("snap"): the
-	// ranked-document position of the update, the model support size,
-	// and an order-independent hash of the weight vector.
-	Pos int    `json:"pos,omitempty"`
-	NNZ int    `json:"nnz,omitempty"`
-	Sum uint64 `json:"csum,omitempty"`
+	// Pos, NNZ, Sum, and Arith describe one model snapshot ("snap"): the
+	// ranked-document position of the update, the model support size, an
+	// order-independent hash of the weight vector, and the ModelArithmetic
+	// the hash was taken under (absent, so 0, before it was recorded).
+	// Each snapshot carries its own version because a journal resumed by
+	// a newer build gains snapshots from that build.
+	Pos   int    `json:"pos,omitempty"`
+	NNZ   int    `json:"nnz,omitempty"`
+	Sum   uint64 `json:"csum,omitempty"`
+	Arith int    `json:"arith,omitempty"`
 }
 
 type journalTuple struct {
@@ -194,7 +210,8 @@ func OpenJournal(path, fingerprint string) (*Journal, error) {
 // returns the byte offset just past the last complete record. A
 // malformed final line is truncation and is dropped; a malformed record
 // with complete records after it is corruption and is an error; a wrong
-// header (version or fingerprint) is fatal wherever it sits.
+// header (version or fingerprint) is fatal wherever it sits, and so is a
+// snapshot from another model arithmetic.
 func (j *Journal) load(f durable.File, fingerprint string) (goodEnd int64, empty bool, err error) {
 	data, err := io.ReadAll(f)
 	if err != nil {
@@ -204,6 +221,7 @@ func (j *Journal) load(f durable.File, fingerprint string) (goodEnd int64, empty
 		return 0, true, nil
 	}
 	sawHeader := false
+	foreign := false // a snapshot hashed under another ModelArithmetic
 	goodEnd, err = durable.ScanTornTail(data, func(line int, raw []byte) error {
 		var r journalRecord
 		if err := json.Unmarshal(raw, &r); err != nil {
@@ -235,6 +253,7 @@ func (j *Journal) load(f durable.File, fingerprint string) (goodEnd int64, empty
 		case "skip":
 			j.docs[corpus.DocID(r.Doc)] = JournalEntry{Skipped: true, Reason: r.Reason}
 		case "snap":
+			foreign = foreign || r.Arith != ModelArithmetic
 			j.snaps[r.Pos] = snapshotRecord{NNZ: r.NNZ, Sum: r.Sum}
 		default:
 			// Unknown record kinds from a newer writer are skipped, not
@@ -249,6 +268,9 @@ func (j *Journal) load(f durable.File, fingerprint string) (goodEnd int64, empty
 		// Only a torn header line, blank lines, or dropped debris: the
 		// journal recorded no work and cannot be trusted to resume.
 		return 0, false, fmt.Errorf("pipeline: journal has no complete header (torn first write?): delete %s to start over", j.path)
+	}
+	if foreign {
+		return 0, false, ErrModelArithmetic
 	}
 	return goodEnd, false, nil
 }
@@ -320,7 +342,7 @@ func (j *Journal) CheckSnapshot(pos, nnz int, sum uint64) error {
 	}
 	j.snaps[pos] = snapshotRecord{NNZ: nnz, Sum: sum}
 	j.checked[pos] = true
-	return j.append(journalRecord{Kind: "snap", Pos: pos, NNZ: nnz, Sum: sum})
+	return j.append(journalRecord{Kind: "snap", Pos: pos, NNZ: nnz, Sum: sum, Arith: ModelArithmetic})
 }
 
 // UncheckedSnapshots returns journaled snapshot positions at or below

@@ -16,7 +16,7 @@ func FuzzOpenJournal(f *testing.F) {
 	f.Add([]byte(header))
 	f.Add([]byte(header + `{"kind":"doc","doc":1,"useful":true,"tuples":[{"rel":"PO","a1":"a","a2":"b"}]}` + "\n"))
 	f.Add([]byte(header + `{"kind":"skip","doc":2,"reason":"poisoned"}` + "\n" +
-		`{"kind":"snap","pos":10,"nnz":3,"csum":123}` + "\n"))
+		`{"kind":"snap","pos":10,"nnz":3,"csum":123,"arith":1}` + "\n"))
 	f.Add([]byte(header + `{"kind":"doc","doc":3,"use`)) // torn tail
 	f.Add([]byte(header + `{"kind":"doc","doc":4}` + "\r\n"))
 	f.Add([]byte(header + `{"kind":"future-kind","x":1}` + "\n"))

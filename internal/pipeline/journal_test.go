@@ -1,6 +1,8 @@
 package pipeline
 
 import (
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -139,6 +141,62 @@ func TestJournalMidFileCorruptionIsFatal(t *testing.T) {
 	os.WriteFile(path, []byte(corrupted), 0o644)
 	if _, err := OpenJournal(path, "fp"); err == nil {
 		t.Fatal("mid-file corruption accepted")
+	}
+}
+
+// oldJournal is the head of a journal written before snapshots carried
+// their model arithmetic: a header and two extraction outcomes.
+const oldJournal = `{"kind":"header","v":1,"fp":"fp"}` + "\n" +
+	`{"kind":"doc","doc":1,"useful":true,"tuples":[{"rel":"PC","a1":"a","a2":"b"}]}` + "\n" +
+	`{"kind":"doc","doc":2}` + "\n"
+
+func TestJournalRefusesOtherModelArithmetic(t *testing.T) {
+	for name, snap := range map[string]string{
+		"unversioned":           `{"kind":"snap","pos":10,"nnz":3,"csum":123}`,
+		"newer":                 fmt.Sprintf(`{"kind":"snap","pos":10,"nnz":3,"csum":123,"arith":%d}`, ModelArithmetic+1),
+		"unversioned, mid-file": `{"kind":"snap","pos":10,"nnz":3,"csum":123}` + "\n" + `{"kind":"doc","doc":3}`,
+	} {
+		t.Run(name, func(t *testing.T) {
+			path := journalPath(t)
+			if err := os.WriteFile(path, []byte(oldJournal+snap+"\n"), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := OpenJournal(path, "fp"); !errors.Is(err, ErrModelArithmetic) {
+				t.Fatalf("err = %v, want ErrModelArithmetic", err)
+			}
+		})
+	}
+}
+
+// TestJournalWithoutSnapshotsResumesAcrossModelArithmetic resumes a
+// journal written before the version existed: with no snapshot it holds
+// nothing the arithmetic decides, so it loads, and the snapshots this
+// build adds keep it resumable.
+func TestJournalWithoutSnapshotsResumesAcrossModelArithmetic(t *testing.T) {
+	path := journalPath(t)
+	if err := os.WriteFile(path, []byte(oldJournal), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	j, err := OpenJournal(path, "fp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := j.Entries(); n != 2 {
+		t.Fatalf("Entries = %d, want 2", n)
+	}
+	if err := j.CheckSnapshot(10, 3, 123); err != nil {
+		t.Fatal(err)
+	}
+	if err := j.Close(); err != nil {
+		t.Fatal(err)
+	}
+	r, err := OpenJournal(path, "fp")
+	if err != nil {
+		t.Fatalf("journal extended by this build refused: %v", err)
+	}
+	defer r.Close()
+	if err := r.CheckSnapshot(10, 3, 123); err != nil {
+		t.Fatal(err)
 	}
 }
 

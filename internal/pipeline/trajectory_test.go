@@ -148,6 +148,13 @@ type trajectoryDigest struct {
 // at the end of Init and Update and at the detectors' own reads). They
 // pin the weights and the rank order bit for bit: a change meant to keep
 // results must pass with them unedited.
+//
+// trajectoryArithmetic is the ModelArithmetic they were computed under.
+// Journaled snapshots hash the same weight bits, so a change that
+// replaces these constants bumps ModelArithmetic and this constant in the
+// same edit, and journals from before it are refused by name.
+const trajectoryArithmetic = 1
+
 var trajectoryDigests = []trajectoryDigest{
 	{"rsvm-windf", "966a1c54a5e89efbb3521ab71df4280dd381d8caa94b4068617e84c4cb651e4d", 45},
 	{"bagg-topk", "9783ed082839b1c8a0c40e24406c1b86ca9f32eb542649676020c56cb26063c2", 3},
@@ -157,6 +164,9 @@ var trajectoryDigests = []trajectoryDigest{
 // TestModelTrajectoryDigest compares a SHA-256 of every model update's
 // weights and of the final order with the committed constants.
 func TestModelTrajectoryDigest(t *testing.T) {
+	if ModelArithmetic != trajectoryArithmetic {
+		t.Fatalf("ModelArithmetic = %d, but the trajectory digests are pinned at version %d", ModelArithmetic, trajectoryArithmetic)
+	}
 	checkTrajectories(t, trajectoryDigests, func(g trajectory) string { return g.weights })
 }
 
