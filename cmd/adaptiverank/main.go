@@ -11,13 +11,10 @@ import (
 	"os"
 	"os/signal"
 	"syscall"
-	"time"
 
 	"adaptiverank"
 	"adaptiverank/internal/durable"
-	"adaptiverank/internal/obs"
-	"adaptiverank/internal/obs/blackbox"
-	"adaptiverank/internal/obs/prof"
+	"adaptiverank/internal/obs/sinks"
 	"adaptiverank/internal/relation"
 )
 
@@ -40,14 +37,6 @@ func run() (code int) {
 		detector = flag.String("detector", "modc", "update detector: modc, topk, windf, feats, none")
 		sample   = flag.Int("sample", 0, "initial sample size (0 = auto)")
 		maxDocs  = flag.Int("max", 0, "stop after processing this many ranked documents (0 = all)")
-		trace    = flag.String("trace", "", "write a JSONL event trace of the run to this file (convert with obsreport -chrome for a Perfetto flame timeline)")
-		metrics  = flag.Bool("metrics", false, "dump collected metrics (expvar-style text) to stderr on exit")
-		serve    = flag.String("serve", "", "serve /metrics (Prometheus), /events (SSE), /runs, /alerts, /healthz and /debug/pprof on this address during the run (e.g. localhost:6060)")
-		sloSlope = flag.Float64("slo-min-recall-slope", 0, "SLO watchdog: alert when useful-docs-per-document over the trailing window falls below this floor (0 = rule off)")
-		sloFire  = flag.Float64("slo-max-fire-rate", 0, "SLO watchdog: alert when the detector fire rate over the trailing window exceeds this ceiling (0 = rule off)")
-		sloP99   = flag.Duration("slo-max-p99", 0, "SLO watchdog: alert when the p99 per-document step latency exceeds this bound (0 = rule off)")
-		sloWin   = flag.Int("slo-window", 0, "SLO watchdog: override the rules' trailing-window sizes (0 = per-rule defaults)")
-		sloFault = flag.Float64("slo-max-fault-rate", 0, "SLO watchdog: alert when the extraction fault rate over the trailing window exceeds this ceiling (0 = rule off)")
 
 		checkpoint = flag.String("checkpoint", "", "write a crash-safe run journal to this file (resume with -resume)")
 		resume     = flag.Bool("resume", false, "resume from the -checkpoint journal: replay recorded outcomes and continue where the interrupted run stopped")
@@ -63,18 +52,12 @@ func run() (code int) {
 
 		extractTimeout = flag.Duration("extract-timeout", 0, "resilience: per-attempt extraction timeout (0 = default)")
 		extractRetries = flag.Int("extract-retries", 0, "resilience: max extraction attempts per document (0 = default)")
-
-		profDir    = flag.String("prof-dir", "", "continuous profiling: write CPU windows whose samples carry a pprof phase label, heap/goroutine snapshots, runtime-metrics samples and a JSONL manifest under this directory (inspect with profreport -dir and go tool pprof -tags)")
-		profCPUWin = flag.Duration("prof-cpu-window", 10*time.Second, "continuous profiling: CPU profile window length; windows rotate on this clock only (0 disables CPU windows)")
-		blackboxD  = flag.String("blackbox", "", "flight recorder: keep a bounded ring of recent events in memory and flush postmortem bundles to this directory on worker panic, SLO alert, or SIGQUIT (inspect with profreport -bundle)")
-
-		explainDir = flag.String("explain-dir", "", "model introspection: write weight-drift snapshots, top-ranked score attributions, and detector decision evidence as a JSONL artifact under this directory (inspect with explainreport -dir; live at /model and /explain with -serve)")
-		explainTop = flag.Int("explain-top", 0, "model introspection: attribute this many top-ranked documents per (re-)ranking (0 = default)")
 	)
+	obsFlags := sinks.Register(flag.CommandLine)
 	flag.Parse()
 
 	// SIGINT/SIGTERM cancel the run context: the pipeline drains
-	// gracefully and the deferred trace/checkpoint cleanup below still
+	// gracefully and the deferred sink and checkpoint cleanup still
 	// runs, so a Ctrl-C leaves a valid, resumable journal behind.
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -147,199 +130,25 @@ func run() (code int) {
 	}
 	ex := adaptiverank.BuiltinExtractor(rel)
 	fingerprint := adaptiverank.Fingerprint(coll, ex, opts)
-	runID := fmt.Sprintf("%s-%d", time.Now().UTC().Format("20060102-150405"), os.Getpid())
 
-	var reg *obs.Registry
-	if *metrics || *serve != "" || *profDir != "" || *blackboxD != "" || *explainDir != "" {
-		reg = obs.NewRegistry()
-		opts.Metrics = reg
-	}
-
-	// Every recorder sink feeds one Tee so the trace file, the live
-	// event stream, and the run tracker see identical events.
-	var sinks []obs.Recorder
-	if *trace != "" {
-		ft, err := obs.CreateTrace(*trace)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		// Flush and close on every exit path; a trace write error makes
-		// the process exit non-zero even when the run itself succeeded.
-		defer func() {
-			if err := ft.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "trace:", err)
-				if code == 0 {
-					code = 1
-				}
-			} else if code == 0 {
-				fmt.Printf("trace written to %s\n", *trace)
-			}
-		}()
-		sinks = append(sinks, ft)
-	}
-	var stream *obs.StreamRecorder
-	var runs *obs.RunTracker
-	if *serve != "" {
-		stream = obs.NewStreamRecorder(0)
-		runs = &obs.RunTracker{}
-		sinks = append(sinks, stream, runs)
-	}
-	var box *blackbox.Ring
-	if *blackboxD != "" {
-		box, err = blackbox.New(blackbox.Options{
-			Dir: *blackboxD, RunID: runID, Fingerprint: fingerprint, Registry: reg,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		sinks = append(sinks, box)
-	}
-	var explainer *adaptiverank.Explainer
-	if *explainDir != "" {
-		explainer, err = adaptiverank.NewExplainer(adaptiverank.ExplainOptions{
-			Dir: *explainDir, RunID: runID, Fingerprint: fingerprint,
-			Registry: reg, AttribTopN: *explainTop,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		opts.Explain = explainer
-		// Flush and fsync the explain artifact on every exit path; a write
-		// error surfaces as a non-zero exit like the trace and profiler.
-		defer func() {
-			if err := explainer.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "explain:", err)
-				if code == 0 {
-					code = 1
-				}
-			} else {
-				fmt.Printf("explain artifact written to %s (inspect with explainreport -dir %s)\n", *explainDir, *explainDir)
-			}
-		}()
-		// The explain sink persists detector-decision evidence from the
-		// shared event stream.
-		sinks = append(sinks, explainer.Recorder())
-	}
-	var profiler *prof.Profiler
-	if *profDir != "" {
-		profiler, err = prof.Start(prof.Options{
-			Dir: *profDir, RunID: runID, Fingerprint: fingerprint,
-			CPUWindow: *profCPUWin, Registry: reg,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		// Stop profiling and fsync+close the manifest on every exit path —
-		// signal-driven ones included — so a cut-short run still leaves a
-		// readable profile directory behind.
-		defer func() {
-			if err := profiler.Close(); err != nil {
-				fmt.Fprintln(os.Stderr, "prof:", err)
-				if code == 0 {
-					code = 1
-				}
-			} else {
-				fmt.Printf("profiles written to %s (inspect with profreport -dir %s)\n", *profDir, *profDir)
-			}
-		}()
-		sinks = append(sinks, profiler.Recorder())
-	}
-
-	// The SLO watchdog wraps the Tee from above: pipeline events flow
-	// through it into the sinks, and any alerts it raises follow the same
-	// path, so they show up in the trace file, the SSE stream, and /alerts
-	// uniformly.
-	wopts := obs.WatchdogOptions{
-		MinRecallSlope: *sloSlope, MaxFireRate: *sloFire, MaxStepP99: *sloP99, MaxFaultRate: *sloFault,
-		RecallWindow: *sloWin, FireWindow: *sloWin, LatencyWindow: *sloWin, FaultWindow: *sloWin,
-	}
-	var wd *obs.Watchdog
-	if len(sinks) > 0 || wopts.Enabled() {
-		var rec obs.Recorder
-		if len(sinks) > 0 {
-			rec = obs.Tee(sinks...)
-		}
-		if wopts.Enabled() {
-			wd = obs.Watch(rec, wopts)
-			rec = wd
-		}
-		opts.Recorder = rec
-	}
-
-	if *serve != "" {
-		srvOpts := obs.ServerOptions{Registry: reg, Stream: stream, Runs: runs, Watchdog: wd}
-		if box != nil {
-			srvOpts.Blackbox = box.Handler()
-		}
-		if *profDir != "" {
-			srvOpts.Profiles = prof.DirHandler(*profDir)
-		}
-		if explainer != nil {
-			srvOpts.Explain = explainer.Handler()
-		}
-		srv := obs.NewServer(srvOpts)
-		addr, err := srv.Start(*serve)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		defer srv.Close()
-		fmt.Printf("observability server on http://%s (/metrics /events /runs /alerts /healthz /debug/pprof /debug/blackbox /profiles /model /explain)\n", addr)
-	}
-
-	// SIGQUIT is the operator's postmortem trigger: flush a black-box
-	// bundle (when armed), then cancel the run context so the pipeline
-	// drains and every deferred close above — trace fsync, profiling
-	// manifest fsync — runs before the process exits through run().
-	runCtx, cancelRun := context.WithCancel(ctx)
-	defer cancelRun()
-	sigq := make(chan os.Signal, 1)
-	signal.Notify(sigq, syscall.SIGQUIT)
-	defer signal.Stop(sigq)
-	go func() {
-		for range sigq {
-			if box != nil {
-				if dir, err := box.Dump(obs.DumpReasonSignal); err != nil {
-					fmt.Fprintln(os.Stderr, "blackbox:", err)
-				} else {
-					fmt.Fprintf(os.Stderr, "SIGQUIT: postmortem bundle written to %s\n", dir)
-				}
-			}
-			cancelRun()
-		}
-	}()
-
-	fmt.Printf("extracting %s with %s + %s...\n", rel.Name(), *strategy, *detector)
-
-	res, err := adaptiverank.RunContext(runCtx, coll, ex, opts)
+	obsSinks, err := sinks.Open(ctx, *obsFlags, "", fingerprint, os.Stdout)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
 	}
-	if box != nil {
-		if bundles, err := blackbox.Bundles(*blackboxD); err == nil && len(bundles) > 0 {
-			fmt.Fprintf(os.Stderr, "postmortem: %d bundle(s) in %s (inspect with profreport -bundle %s/%s)\n",
-				len(bundles), *blackboxD, *blackboxD, bundles[len(bundles)-1])
-		}
+	// Close every sink on every exit path: a sink that fails to close
+	// makes the process exit non-zero even when the run itself succeeded.
+	defer func() { code = obsSinks.Close(code) }()
+	opts.Metrics, opts.Recorder, opts.Explain = obsSinks.Registry, obsSinks.Recorder, obsSinks.Explainer
+
+	fmt.Printf("extracting %s with %s + %s...\n", rel.Name(), *strategy, *detector)
+
+	res, err := adaptiverank.RunContext(obsSinks.Ctx, coll, ex, opts)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		return 1
 	}
-	if *metrics {
-		fmt.Fprintln(os.Stderr, "--- metrics ---")
-		if err := reg.Dump(os.Stderr); err != nil {
-			fmt.Fprintln(os.Stderr, "metrics:", err)
-		}
-	}
-	if wd != nil {
-		if alerts := wd.Alerts(); len(alerts) > 0 {
-			fmt.Fprintf(os.Stderr, "--- SLO alerts (%d) ---\n", len(alerts))
-			for _, a := range alerts {
-				fmt.Fprintf(os.Stderr, "  doc %d [%s] %s\n", a.Docs, a.Rule, a.Message)
-			}
-		}
-	}
+	obsSinks.Report(os.Stderr)
 
 	fmt.Printf("\nprocessed %d documents, %d useful, %d distinct tuples, %d model updates\n",
 		res.DocsProcessed, res.UsefulFound, len(res.Tuples), res.Updates)
@@ -406,11 +215,4 @@ func writeResult(path string, res *adaptiverank.Result) error {
 	// byte-for-byte, so a half-written result after a kill would read as
 	// a spurious mismatch instead of "no result yet".
 	return durable.WriteFileAtomic(nil, path, append(b, '\n'), 0o644, "result")
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -37,6 +37,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"os/exec"
 	"path/filepath"
@@ -51,6 +52,7 @@ import (
 	"adaptiverank/internal/obs/blackbox"
 	"adaptiverank/internal/obs/explain"
 	"adaptiverank/internal/obs/prof"
+	"adaptiverank/internal/obs/sinks"
 )
 
 func main() {
@@ -776,63 +778,26 @@ func runChild() (code int) {
 	}
 	fingerprint := adaptiverank.Fingerprint(coll, ex, opts)
 
-	var sinks []adaptiverank.Recorder
-	if *childExplain != "" {
-		explainer, err := adaptiverank.NewExplainer(adaptiverank.ExplainOptions{
-			Dir: *childExplain, RunID: "crashtest", Fingerprint: fingerprint,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "child:", err)
-			return 1
-		}
-		opts.Explain = explainer
-		defer func() {
-			if err := explainer.Close(); err != nil && code == 0 {
-				fmt.Fprintln(os.Stderr, "child: explain:", err)
-				code = 1
-			}
-		}()
-		sinks = append(sinks, explainer.Recorder())
-	}
-	if *childProf != "" {
-		profiler, err := prof.Start(prof.Options{
-			Dir: *childProf, RunID: "crashtest", Fingerprint: fingerprint,
-			CPUWindow: 100 * time.Millisecond,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "child:", err)
-			return 1
-		}
-		defer func() {
-			if err := profiler.Close(); err != nil && code == 0 {
-				fmt.Fprintln(os.Stderr, "child: prof:", err)
-				code = 1
-			}
-		}()
-		sinks = append(sinks, profiler.Recorder())
-	}
-	var box *blackbox.Ring
-	if *childBlackbox != "" {
-		box, err = blackbox.New(blackbox.Options{
-			Dir: *childBlackbox, RunID: "crashtest", Fingerprint: fingerprint,
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "child:", err)
-			return 1
-		}
-		sinks = append(sinks, box)
-	}
-	if len(sinks) > 0 {
-		opts.Recorder = adaptiverank.TeeRecorder(sinks...)
-	}
-
-	res, err := adaptiverank.RunContext(context.Background(), coll, ex, opts)
+	// The child assembles its sinks exactly as the CLIs do, so every kill
+	// lands in the code those runs execute.
+	obsSinks, err := sinks.Open(context.Background(), sinks.Flags{
+		ExplainDir: *childExplain, ProfDir: *childProf, Blackbox: *childBlackbox,
+		ProfCPUWindow: 100 * time.Millisecond,
+	}, "crashtest", fingerprint, io.Discard)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "child:", err)
 		return 1
 	}
-	if *childDump && box != nil {
-		if _, err := box.Dump(obs.DumpReasonManual); err != nil {
+	defer func() { code = obsSinks.Close(code) }()
+	opts.Metrics, opts.Recorder, opts.Explain = obsSinks.Registry, obsSinks.Recorder, obsSinks.Explainer
+
+	res, err := adaptiverank.RunContext(obsSinks.Ctx, coll, ex, opts)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "child:", err)
+		return 1
+	}
+	if *childDump && obsSinks.Blackbox != nil {
+		if _, err := obsSinks.Blackbox.Dump(obs.DumpReasonManual); err != nil {
 			fmt.Fprintln(os.Stderr, "child: blackbox:", err)
 			return 1
 		}
