@@ -3,6 +3,7 @@ package adaptiverank_test
 import (
 	"bytes"
 	"math"
+	"reflect"
 	"testing"
 
 	"adaptiverank"
@@ -70,12 +71,53 @@ func TestRunByteIdenticalExplained(t *testing.T) {
 }
 
 // TestRunWorkerCountInvariantExplained: worker-count invariance holds
-// with explain armed too.
+// with explain armed too, for the result and for the explain artifact,
+// whose snapshots and attributions name feature ids. Wind-F updates the
+// model with features first seen in the rank pass, so its artifact shows
+// ids that follow score-worker scheduling.
 func TestRunWorkerCountInvariantExplained(t *testing.T) {
-	seq, _ := runOnceExplained(t, adaptiverank.Options{Seed: 9, Workers: 1})
-	par, _ := runOnceExplained(t, adaptiverank.Options{Seed: 9, Workers: 8})
-	if !bytes.Equal(seq, par) {
-		t.Errorf("explained 1-worker and 8-worker runs diverged:\nw1: %.200s\nw8: %.200s", seq, par)
+	for _, det := range []adaptiverank.Detector{adaptiverank.ModC, adaptiverank.WindF} {
+		seq, seqLog := runOnceExplained(t, adaptiverank.Options{Seed: 9, Detector: det, Workers: 1})
+		par, parLog := runOnceExplained(t, adaptiverank.Options{Seed: 9, Detector: det, Workers: 8})
+		if !bytes.Equal(seq, par) {
+			t.Errorf("explained 1-worker and 8-worker runs diverged:\nw1: %.200s\nw8: %.200s", seq, par)
+		}
+		sameLogs(t, seqLog, parLog)
+	}
+}
+
+// sameLogs fails unless two explain logs hold the same records, apart
+// from the wall-clock stamp T on decision records. Span ids are unique
+// across the process, so they are compared as offsets from the run's
+// train-init snapshot span.
+func sameLogs(t *testing.T, a, b *explain.Log) {
+	t.Helper()
+	if !reflect.DeepEqual(a.Header, b.Header) {
+		t.Errorf("headers differ:\n%+v\n%+v", a.Header, b.Header)
+	}
+	kinds := []struct {
+		name string
+		a, b []explain.Record
+	}{
+		{"snapshot", a.Snapshots, b.Snapshots},
+		{"attribution", a.Attributions, b.Attributions},
+		{"decision", a.Decisions, b.Decisions},
+	}
+	for _, k := range kinds {
+		if len(k.a) != len(k.b) {
+			t.Errorf("%s records: %d vs %d", k.name, len(k.a), len(k.b))
+			continue
+		}
+		for i := range k.a {
+			ra, rb := k.a[i], k.b[i]
+			ra.T, rb.T = 0, 0
+			ra.Span -= a.Snapshots[0].Span
+			rb.Span -= b.Snapshots[0].Span
+			if !reflect.DeepEqual(ra, rb) {
+				t.Errorf("%s record %d differs:\n%+v\n%+v", k.name, i, ra, rb)
+				break
+			}
+		}
 	}
 }
 
