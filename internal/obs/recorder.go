@@ -371,9 +371,11 @@ func PhaseTotals(events []Event) map[string]time.Duration {
 }
 
 // Instrumentable is implemented by components (rankers, update
-// detectors) that can attach themselves to a registry and a recorder.
-// The pipeline instruments its strategy and detector when observation is
-// requested; un-instrumented components pay nothing.
+// detectors, oracles) that can attach themselves to a registry, a
+// recorder and a span tracer. The pipeline instruments its strategy,
+// detector and oracle when observation is requested, passing its tracer
+// (nil when tracing is off) so their spans and span-linked events nest
+// under its current scope; un-instrumented components pay nothing.
 type Instrumentable interface {
-	Instrument(reg *Registry, rec Recorder)
+	Instrument(reg *Registry, rec Recorder, tr *Tracer)
 }

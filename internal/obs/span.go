@@ -168,11 +168,3 @@ func (s *Span) End() {
 		Dur: time.Duration(nowUnixNano() - s.start), Attrs: attrs,
 	})
 }
-
-// TraceInstrumentable is implemented by components that can emit spans
-// (or span-linked events) through a shared Tracer. The pipeline hands
-// its tracer to the strategy and detector when tracing is enabled, so
-// their spans nest under the pipeline's current scope.
-type TraceInstrumentable interface {
-	InstrumentTracer(*Tracer)
-}

@@ -70,13 +70,7 @@ func ComputeLabelsContext(ctx context.Context, e extract.Extractor, coll *corpus
 	docs := coll.Docs()
 	results := make([][]relation.Tuple, len(docs))
 	errs := make([]error, len(docs))
-	workers := runtime.GOMAXPROCS(0)
-	if workers > len(docs) {
-		workers = len(docs)
-	}
-	if workers < 1 {
-		workers = 1
-	}
+	workers := max(1, min(runtime.GOMAXPROCS(0), len(docs)))
 	extractOne := func(i int) (ts []relation.Tuple, err error) {
 		defer func() {
 			if p := recover(); p != nil {
@@ -87,14 +81,7 @@ func ComputeLabelsContext(ctx context.Context, e extract.Extractor, coll *corpus
 	}
 	var wg sync.WaitGroup
 	chunk := (len(docs) + workers - 1) / workers
-	for w := 0; w < workers; w++ {
-		lo, hi := w*chunk, (w+1)*chunk
-		if hi > len(docs) {
-			hi = len(docs)
-		}
-		if lo >= hi {
-			break
-		}
+	for lo := 0; lo < len(docs); lo += chunk {
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
@@ -105,7 +92,7 @@ func ComputeLabelsContext(ctx context.Context, e extract.Extractor, coll *corpus
 				}
 				results[i], errs[i] = extractOne(i)
 			}
-		}(lo, hi)
+		}(lo, min(lo+chunk, len(docs)))
 	}
 	wg.Wait()
 	if err := ctx.Err(); err != nil {

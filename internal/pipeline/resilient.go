@@ -158,12 +158,12 @@ func NewResilient(inner Oracle, opts ResilientOptions) *Resilient {
 		inner: inner, opts: opts,
 		rng: rand.New(rand.NewSource(opts.JitterSeed)),
 	}
-	r.Instrument(nil, obs.Nop())
+	r.Instrument(nil, obs.Nop(), nil)
 	return r
 }
 
 // Instrument implements obs.Instrumentable.
-func (r *Resilient) Instrument(reg *obs.Registry, rec obs.Recorder) {
+func (r *Resilient) Instrument(reg *obs.Registry, rec obs.Recorder, tr *obs.Tracer) {
 	r.rec = rec
 	r.cFaults = reg.Counter(obs.MetricResilienceFaults)
 	r.cPanics = reg.Counter(obs.MetricResiliencePanicsRecovered)
@@ -175,7 +175,7 @@ func (r *Resilient) Instrument(reg *obs.Registry, rec obs.Recorder) {
 	// Forward to the wrapped oracle so a whole chain instruments with
 	// one call.
 	if in, ok := r.inner.(obs.Instrumentable); ok {
-		in.Instrument(reg, rec)
+		in.Instrument(reg, rec, tr)
 	}
 }
 

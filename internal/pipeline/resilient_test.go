@@ -57,7 +57,7 @@ func resilientDoc(id int) *corpus.Document {
 func resilientOver(fopts extract.FlakyOptions, ropts ResilientOptions, reg *obs.Registry, rec obs.Recorder) (*Resilient, *extract.Flaky) {
 	fl := extract.NewFlaky(fixedExtractor{}, fopts)
 	r := NewResilient(&ExtractorOracle{Ex: fl}, ropts)
-	r.Instrument(reg, rec)
+	r.Instrument(reg, rec, nil)
 	return r, fl
 }
 
@@ -291,7 +291,7 @@ func TestResilientBreakerTripsAndRecovers(t *testing.T) {
 		BreakerCooldown:  3,
 		Sleep:            func(time.Duration) {},
 	})
-	r.Instrument(reg, rec)
+	r.Instrument(reg, rec, nil)
 
 	// Two docs x 2 attempts = 4 consecutive failures: trips the breaker.
 	for i := 0; i < 2; i++ {
@@ -380,7 +380,7 @@ func TestResilientContextCancellation(t *testing.T) {
 	attempts := 0
 	r := NewResilient(&scriptedOracle{fail: func(int) error { attempts++; return errors.New("x") }},
 		ResilientOptions{MaxAttempts: 10, Sleep: func(time.Duration) {}})
-	r.Instrument(reg, obs.Nop())
+	r.Instrument(reg, obs.Nop(), nil)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	_, _, err := r.LabelContext(ctx, resilientDoc(0))

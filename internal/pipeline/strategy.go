@@ -177,17 +177,9 @@ func (s *Learned) Attribute(d *corpus.Document) (ranking.Attribution, bool) {
 
 // Instrument implements obs.Instrumentable by forwarding to the wrapped
 // ranker when it is itself instrumentable.
-func (s *Learned) Instrument(reg *obs.Registry, rec obs.Recorder) {
+func (s *Learned) Instrument(reg *obs.Registry, rec obs.Recorder, tr *obs.Tracer) {
 	if in, ok := s.R.(obs.Instrumentable); ok {
-		in.Instrument(reg, rec)
-	}
-}
-
-// InstrumentTracer implements obs.TraceInstrumentable by forwarding the
-// span tracer to the wrapped ranker.
-func (s *Learned) InstrumentTracer(tr *obs.Tracer) {
-	if in, ok := s.R.(obs.TraceInstrumentable); ok {
-		in.InstrumentTracer(tr)
+		in.Instrument(reg, rec, tr)
 	}
 }
 

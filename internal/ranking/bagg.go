@@ -76,18 +76,15 @@ func NewBAggIE(opts BAggOptions) *BAggIE {
 // Name implements Ranker.
 func (b *BAggIE) Name() string { return "BAgg-IE" }
 
-// Instrument implements obs.Instrumentable: Learn calls are timed and
-// the committee's combined Pegasos steps counted. Clones are never
-// instrumented (see RSVMIE.Instrument).
-func (b *BAggIE) Instrument(reg *obs.Registry, _ obs.Recorder) {
+// Instrument implements obs.Instrumentable: Learn calls are timed, the
+// committee's combined Pegasos steps counted, and each Learn call
+// becomes a "bagg-learn" span under the tracer's current scope. Clones
+// are never instrumented (see RSVMIE.Instrument).
+func (b *BAggIE) Instrument(reg *obs.Registry, _ obs.Recorder, tr *obs.Tracer) {
 	b.obsLearn = reg.Histogram(obs.MetricRankingBAggLearnSeconds, nil)
 	b.obsSteps = reg.Counter(obs.MetricRankingBAggSteps)
+	b.tr = tr
 }
-
-// InstrumentTracer implements obs.TraceInstrumentable: each Learn call
-// becomes a "bagg-learn" span under the tracer's current scope. Clones
-// are never trace-instrumented.
-func (b *BAggIE) InstrumentTracer(tr *obs.Tracer) { b.tr = tr }
 
 // Learn deals the example to the next committee member and drains that
 // member's balanced queue.

@@ -23,7 +23,7 @@ import (
 
 func instrumentRanker(t *testing.T, r obs.Instrumentable) {
 	t.Helper()
-	r.Instrument(obs.NewRegistry(), obs.Nop())
+	r.Instrument(obs.NewRegistry(), obs.Nop(), nil)
 }
 
 // parityTolerance bounds |production - reference| per score. The

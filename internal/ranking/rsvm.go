@@ -77,20 +77,17 @@ func (r *RSVMIE) Name() string { return "RSVM-IE" }
 
 // Instrument implements obs.Instrumentable: Learn calls are timed into a
 // latency histogram, Pegasos gradient steps are counted, and the model's
-// non-zero support is set as a gauge at every Settle. Clones (the Mod-C
-// shadow model) are never instrumented, so the metrics describe the live
-// model only.
-func (r *RSVMIE) Instrument(reg *obs.Registry, _ obs.Recorder) {
+// non-zero support is set as a gauge at every Settle. Each Learn call
+// becomes a "rsvm-learn" span under the tracer's current scope, so the
+// flame timeline shows individual train steps inside init-train and
+// train-update phases. Clones (the Mod-C shadow model) are never
+// instrumented, so the metrics describe the live model only.
+func (r *RSVMIE) Instrument(reg *obs.Registry, _ obs.Recorder, tr *obs.Tracer) {
 	r.obsLearn = reg.Histogram(obs.MetricRankingRSVMLearnSeconds, nil)
 	r.obsSteps = reg.Counter(obs.MetricRankingRSVMSteps)
 	r.obsSupport = reg.Gauge(obs.MetricRankingRSVMSupport)
+	r.tr = tr
 }
-
-// InstrumentTracer implements obs.TraceInstrumentable: each Learn call
-// becomes a "rsvm-learn" span under the tracer's current scope, so the
-// flame timeline shows individual train steps inside init-train and
-// train-update phases. Clones are never trace-instrumented.
-func (r *RSVMIE) InstrumentTracer(tr *obs.Tracer) { r.tr = tr }
 
 // Learn forms stochastic pairs between the incoming document and sampled
 // opposite-label documents and performs pairwise hinge updates.

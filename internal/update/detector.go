@@ -49,18 +49,16 @@ func (w *WindF) Name() string { return "Wind-F" }
 
 // Instrument implements obs.Instrumentable: every decision records the
 // window-progress fraction seen/Window into a histogram and, when
-// tracing, emits a detector-decision event — the schedule-driven
-// counterpart of the content-driven detectors' statistics, so a trace
-// always explains a Wind-F fire as "the window filled".
-func (w *WindF) Instrument(reg *obs.Registry, rec obs.Recorder) {
+// tracing, emits a detector-decision event stamped with the tracer's
+// current scope (see ModC) — the schedule-driven counterpart of the
+// content-driven detectors' statistics, so a trace always explains a
+// Wind-F fire as "the window filled".
+func (w *WindF) Instrument(reg *obs.Registry, rec obs.Recorder, tr *obs.Tracer) {
 	w.obsProg = reg.Histogram(obs.MetricUpdateWindFProgress,
 		[]float64{0.1, 0.25, 0.5, 0.75, 0.9, 1})
 	w.rec = rec
+	w.tr = tr
 }
-
-// InstrumentTracer implements obs.TraceInstrumentable: decision events
-// are stamped with the tracer's current scope (see ModC).
-func (w *WindF) InstrumentTracer(tr *obs.Tracer) { w.tr = tr }
 
 // Observe implements Detector.
 func (w *WindF) Observe(vector.Sparse, bool) bool {

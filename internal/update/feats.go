@@ -68,16 +68,14 @@ func (f *FeatS) Name() string { return "Feat-S" }
 
 // Instrument implements obs.Instrumentable: each periodic check records
 // the geometrical-difference fraction F = 1 - S into a histogram and,
-// when tracing, emits a detector-decision event. Between checks the
-// detector makes no decision, so nothing is recorded.
-func (f *FeatS) Instrument(reg *obs.Registry, rec obs.Recorder) {
+// when tracing, emits a detector-decision event stamped with the
+// tracer's current scope (see ModC). Between checks the detector makes
+// no decision, so nothing is recorded.
+func (f *FeatS) Instrument(reg *obs.Registry, rec obs.Recorder, tr *obs.Tracer) {
 	f.obsShift = reg.Histogram(obs.MetricUpdateFeatSShift, []float64{0.01, 0.02, 0.05, 0.1, 0.15, 0.2, 0.3, 0.5, 1})
 	f.rec = rec
+	f.tr = tr
 }
-
-// InstrumentTracer implements obs.TraceInstrumentable: decision events
-// are stamped with the tracer's current scope (see ModC).
-func (f *FeatS) InstrumentTracer(tr *obs.Tracer) { f.tr = tr }
 
 // Prime trains the one-class model on the initial sample.
 func (f *FeatS) Prime(xs []vector.Sparse) {

@@ -76,15 +76,14 @@ func AngleBuckets() []float64 {
 // Instrument implements obs.Instrumentable: every decision records the
 // live/shadow cosine angle into a histogram and, when tracing, emits a
 // detector-decision event carrying the angle and the trigger outcome.
-func (m *ModC) Instrument(reg *obs.Registry, rec obs.Recorder) {
+// Decision events are stamped with the tracer's current scope (the
+// pipeline's "detect" span), tying each decision into the span tree
+// causally.
+func (m *ModC) Instrument(reg *obs.Registry, rec obs.Recorder, tr *obs.Tracer) {
 	m.obsAngle = reg.Histogram(obs.MetricUpdateModCAngleDegrees, AngleBuckets())
 	m.rec = rec
+	m.tr = tr
 }
-
-// InstrumentTracer implements obs.TraceInstrumentable: decision events
-// are stamped with the tracer's current scope (the pipeline's "detect"
-// span), tying each decision into the span tree causally.
-func (m *ModC) InstrumentTracer(tr *obs.Tracer) { m.tr = tr }
 
 // Angle returns the current angle between live and shadow models, in
 // degrees (0 when either model is still empty).

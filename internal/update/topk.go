@@ -95,15 +95,13 @@ func (t *TopK) Name() string { return "Top-K" }
 
 // Instrument implements obs.Instrumentable: every decision records the
 // weighted footrule distance into a histogram and, when tracing, emits a
-// detector-decision event carrying the distance and the trigger outcome.
-func (t *TopK) Instrument(reg *obs.Registry, rec obs.Recorder) {
+// detector-decision event carrying the distance and the trigger outcome,
+// stamped with the tracer's current scope (see ModC).
+func (t *TopK) Instrument(reg *obs.Registry, rec obs.Recorder, tr *obs.Tracer) {
 	t.obsDist = reg.Histogram(obs.MetricUpdateTopKFootrule, FootruleBuckets())
 	t.rec = rec
+	t.tr = tr
 }
-
-// InstrumentTracer implements obs.TraceInstrumentable: decision events
-// are stamped with the tracer's current scope (see ModC).
-func (t *TopK) InstrumentTracer(tr *obs.Tracer) { t.tr = tr }
 
 // Prime trains the side classifier on the initial labelled sample, then
 // baselines the reference feature list.
