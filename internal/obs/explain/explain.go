@@ -300,7 +300,8 @@ func (e *Explainer) State() (snapshots, attributions, decisions int) {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return len(e.snapshots), len(e.attribs), len(e.decisions)
+	return len(newest(e.snapshots, e.opts.KeepSnapshots)), len(newest(e.attribs, e.opts.KeepAttributions)),
+		len(newest(e.decisions, e.opts.KeepDecisions))
 }
 
 // Close flushes and fsyncs the log. Idempotent; returns the first
@@ -334,14 +335,19 @@ func toFeatures(fs []vector.WeightedFeature, name func(int32) string) []Feature 
 	return out
 }
 
-// appendBounded appends r, dropping the oldest entries beyond keep.
+// appendBounded appends r to s, which retains its newest keep records
+// (see newest). s grows to 2×keep before the newest keep shift back to
+// the front, so an append costs O(1) amortized instead of O(keep). The
+// shift, rather than a reslice, keeps the backing array from pinning
+// every record ever captured.
 func appendBounded(s []Record, r Record, keep int) []Record {
-	s = append(s, r)
-	if len(s) > keep {
-		// Shift rather than reslice so the backing array does not pin
-		// every record ever captured.
+	if len(s) >= 2*keep {
 		n := copy(s, s[len(s)-keep:])
+		clear(s[n:])
 		s = s[:n]
 	}
-	return s
+	return append(s, r)
 }
+
+// newest returns the records s retains: its newest keep, in order.
+func newest(s []Record, keep int) []Record { return s[max(0, len(s)-keep):] }

@@ -269,6 +269,29 @@ func TestExplainerBounds(t *testing.T) {
 	}
 }
 
+// TestAppendBoundedKeepsNewest: after every append the retained records
+// are the newest keep, in order, and the ring never holds more than
+// twice that.
+func TestAppendBoundedKeepsNewest(t *testing.T) {
+	const keep = 7
+	var s []Record
+	for i := 0; i < 5*keep+3; i++ {
+		s = appendBounded(s, Record{Pos: i}, keep)
+		got := newest(s, keep)
+		if want := min(i+1, keep); len(got) != want {
+			t.Fatalf("after %d appends: %d records retained, want %d", i+1, len(got), want)
+		}
+		for j, r := range got {
+			if want := i + 1 - len(got) + j; r.Pos != want {
+				t.Fatalf("after %d appends: record %d is %d, want %d", i+1, j, r.Pos, want)
+			}
+		}
+		if len(s) > 2*keep {
+			t.Fatalf("after %d appends: ring holds %d records, want at most %d", i+1, len(s), 2*keep)
+		}
+	}
+}
+
 func TestNilExplainerInert(t *testing.T) {
 	var e *Explainer
 	e.RecordSnapshot("train-init", 0, 0, testWeights(nil), nil, 0, 0)

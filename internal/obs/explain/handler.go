@@ -73,8 +73,9 @@ func (e *Explainer) serveWeights(w http.ResponseWriter) {
 
 func (e *Explainer) serveDrift(w http.ResponseWriter) {
 	e.mu.Lock()
-	out := make([]Record, len(e.snapshots))
-	copy(out, e.snapshots)
+	snaps := newest(e.snapshots, e.opts.KeepSnapshots)
+	out := make([]Record, len(snaps))
+	copy(out, snaps)
 	e.mu.Unlock()
 	writeJSON(w, out)
 }
@@ -91,8 +92,9 @@ func (e *Explainer) serveDecisions(w http.ResponseWriter, r *http.Request) {
 		limit = n
 	}
 	e.mu.Lock()
-	out := make([]Record, 0, len(e.decisions))
-	for _, d := range e.decisions {
+	decs := newest(e.decisions, e.opts.KeepDecisions)
+	out := make([]Record, 0, len(decs))
+	for _, d := range decs {
 		if firedOnly && !d.Fired {
 			continue
 		}
@@ -108,8 +110,9 @@ func (e *Explainer) serveDecisions(w http.ResponseWriter, r *http.Request) {
 func (e *Explainer) serveExplain(w http.ResponseWriter, r *http.Request) {
 	docParam := r.URL.Query().Get("doc")
 	e.mu.Lock()
-	out := make([]Record, len(e.attribs))
-	copy(out, e.attribs)
+	attribs := newest(e.attribs, e.opts.KeepAttributions)
+	out := make([]Record, len(attribs))
+	copy(out, attribs)
 	e.mu.Unlock()
 	if docParam == "" {
 		writeJSON(w, out)
