@@ -24,15 +24,30 @@ import (
 // the lists' total weight, so the distance lies in [0,1] and the threshold
 // tau is scale-free (the raw SVM weight magnitudes drift as training
 // progresses, which would otherwise change what a fixed tau means).
-// Each list names a feature at most once, as Weights.TopK lists do.
+// Each list names a feature at most once, as Weights.TopK lists do, by
+// its feature id (non-negative).
 func Footrule(a, b []vector.WeightedFeature) float64 {
 	var s footrule
 	return s.distance(a, b)
 }
 
-// footrule evaluates Footrule over two id-sorted prefix tables that it
-// owns and reuses, so a warm evaluator allocates nothing.
-type footrule struct{ a, b []prefixEntry }
+// footrule evaluates Footrule from a reference list, kept as an id-sorted
+// prefix table built once per reference (setRef), to the lists handed to
+// to. It keeps the last such list's ids in ascending order, so a call
+// drops the ids that left and inserts only those that entered, and it
+// reads each id's rank through a table indexed by id. A warm evaluator
+// allocates nothing.
+type footrule struct {
+	ref []prefixEntry // the reference list's prefix table, by id
+	// refTotal is the reference list's total |weight|, refHalves the sum
+	// of its halves, folded in list order.
+	refTotal, refHalves float64
+
+	ids     []int32   // the last list's ids, ascending
+	rank    []int32   // rank[id] is 1 + id's rank in the last list, 0 if absent
+	cum     []float64 // the last list's cumulative |weight|, by rank
+	entered []int32   // scratch: the ids that entered the last list
+}
 
 // prefixEntry is one feature of a ranked list: its id, half its |weight|
 // (its share of the feature's mean weight across the two lists), and the
@@ -43,17 +58,33 @@ type prefixEntry struct {
 }
 
 func (s *footrule) distance(a, b []vector.WeightedFeature) float64 {
-	ta, totalA := prefixTable(s.a[:0], a)
-	tb, totalB := prefixTable(s.b[:0], b)
-	s.a, s.b = ta, tb
+	s.setRef(a)
+	return s.to(b)
+}
+
+// setRef makes a the reference list.
+func (s *footrule) setRef(a []vector.WeightedFeature) {
+	s.ref = s.ref[:0]
+	var cum, halves float64
+	for _, f := range a {
+		half := math.Abs(f.Weight) / 2
+		cum += math.Abs(f.Weight)
+		halves += half
+		s.ref = append(s.ref, prefixEntry{id: f.Index, half: half, cum: cum})
+	}
+	slices.SortFunc(s.ref, func(x, y prefixEntry) int { return cmp.Compare(x.id, y.id) })
+	s.refTotal, s.refHalves = cum, halves
+}
+
+// to returns the footrule between the reference list and b.
+func (s *footrule) to(b []vector.WeightedFeature) float64 {
+	totalB := s.track(b)
+	totalA := s.refTotal
 	if totalA == 0 && totalB == 0 {
 		return 0
 	}
-
-	var wTotal float64
-	for _, f := range a {
-		wTotal += math.Abs(f.Weight) / 2
-	}
+	// The reference list's halves first, then b's, in list order.
+	wTotal := s.refHalves
 	for _, f := range b {
 		wTotal += math.Abs(f.Weight) / 2
 	}
@@ -61,12 +92,13 @@ func (s *footrule) distance(a, b []vector.WeightedFeature) float64 {
 		return 0
 	}
 
-	// Merge the tables in ascending id order: the distance feeds Top-K's
+	// Merge the lists in ascending id order: the distance feeds Top-K's
 	// trigger comparison against tau, so the fold order is fixed.
+	ta, tb := s.ref, s.ids
 	var d float64
 	for i, j := 0, 0; i < len(ta) || j < len(tb); {
-		inA := i < len(ta) && (j == len(tb) || ta[i].id <= tb[j].id)
-		inB := j < len(tb) && (i == len(ta) || tb[j].id <= ta[i].id)
+		inA := i < len(ta) && (j == len(tb) || ta[i].id <= tb[j])
+		inB := j < len(tb) && (i == len(ta) || tb[j] <= ta[i].id)
 		var w float64
 		pa, pb := 1.0, 1.0
 		if inA {
@@ -77,9 +109,10 @@ func (s *footrule) distance(a, b []vector.WeightedFeature) float64 {
 			i++
 		}
 		if inB {
-			w += tb[j].half
+			r := s.rank[tb[j]] - 1
+			w += math.Abs(b[r].Weight) / 2
 			if totalB > 0 {
-				pb = tb[j].cum / totalB
+				pb = s.cum[r] / totalB
 			}
 			j++
 		}
@@ -88,16 +121,37 @@ func (s *footrule) distance(a, b []vector.WeightedFeature) float64 {
 	return d
 }
 
-// prefixTable appends list's prefix entries to tab, sorted by id, and
-// returns them with the list's total weight. Cumulative weights follow
-// the list's own order (lists arrive sorted by decreasing |weight| from
-// vector.Weights.TopK).
-func prefixTable(tab []prefixEntry, list []vector.WeightedFeature) ([]prefixEntry, float64) {
+// track makes b the last list: it records b's ranks and cumulative
+// weights, patches the ascending id list, and returns b's total |weight|.
+func (s *footrule) track(b []vector.WeightedFeature) float64 {
+	s.entered, s.cum = s.entered[:0], s.cum[:0]
 	var cum float64
-	for _, f := range list {
+	for _, f := range b {
+		if n := int(f.Index) + 1; n > len(s.rank) {
+			s.rank = append(s.rank, make([]int32, n-len(s.rank))...)
+		}
+		if s.rank[f.Index] == 0 {
+			s.entered = append(s.entered, f.Index)
+		}
 		cum += math.Abs(f.Weight)
-		tab = append(tab, prefixEntry{id: f.Index, half: math.Abs(f.Weight) / 2, cum: cum})
+		s.cum = append(s.cum, cum)
 	}
-	slices.SortFunc(tab, func(x, y prefixEntry) int { return cmp.Compare(x.id, y.id) })
-	return tab, cum
+	for _, id := range s.ids {
+		s.rank[id] = 0
+	}
+	for r, f := range b {
+		s.rank[f.Index] = int32(r) + 1
+	}
+	kept := s.ids[:0]
+	for _, id := range s.ids {
+		if s.rank[id] != 0 {
+			kept = append(kept, id)
+		}
+	}
+	for _, id := range s.entered {
+		i, _ := slices.BinarySearch(kept, id)
+		kept = slices.Insert(kept, i, id)
+	}
+	s.ids = kept
+	return cum
 }
