@@ -16,6 +16,7 @@ import (
 	"adaptiverank/internal/corpus"
 	"adaptiverank/internal/learn"
 	"adaptiverank/internal/ranking"
+	"adaptiverank/internal/relation"
 	"adaptiverank/internal/vector"
 )
 
@@ -145,8 +146,9 @@ func TestMarginPackedAllocBudget(t *testing.T) {
 }
 
 // TestFeaturizerAllocBudgets pins featurization's allocations: a warm
-// lookup makes none, and a cold document whose tokens are all interned
-// makes only its row's two slices, however long it is.
+// lookup makes none, a cold document whose tokens are all interned
+// makes only its row's two slices, however long it is, and so does a
+// training row of a cached document whose tuple tokens are all interned.
 func TestFeaturizerAllocBudgets(t *testing.T) {
 	f := ranking.NewFeaturizer()
 	warm := &corpus.Document{ID: 0, Text: "The eruption of Mount Pinatubo buried Clark Air Base in ash."}
@@ -183,5 +185,13 @@ func TestFeaturizerAllocBudgets(t *testing.T) {
 		if n > 2 {
 			t.Errorf("cold Features of a %d-token document allocates %.1f times, want at most 2", words, n)
 		}
+	}
+	tuples := []relation.Tuple{
+		{Rel: relation.PH, Arg1: "Mount Pinatubo", Arg2: "Clark Air Base"},
+		{Rel: relation.PH, Arg1: "Pinatubo", Arg2: "the ash of Luzon"},
+	}
+	f.TrainingFeatures(warm, tuples) // interns every tuple token
+	if n := testing.AllocsPerRun(runs, func() { f.TrainingFeatures(warm, tuples) }); n > 2 {
+		t.Errorf("warm TrainingFeatures allocates %.1f times, want at most 2", n)
 	}
 }

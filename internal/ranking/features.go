@@ -5,6 +5,7 @@
 package ranking
 
 import (
+	"math/bits"
 	"slices"
 	"sync"
 
@@ -23,15 +24,20 @@ import (
 //
 // A cold document is featurized in one pass: its text is cut into
 // lowercase tokens in a reused buffer outside any lock, then one write
-// lock covers interning every token and caching the row. Feature ids
-// are assigned in first-seen order, so a featurizer used from one
-// goroutine assigns deterministic ids.
+// lock covers interning every token, ordering the row's distinct ids
+// through two bitmaps, and caching the row. Feature ids are assigned in
+// first-seen order, so a featurizer used from one goroutine assigns
+// deterministic ids. A training row is derived from the cached row.
 type Featurizer struct {
-	// mu guards the intern table and the row cache together.
+	// mu guards the intern table, the row cache and the bitmaps together.
 	mu    sync.RWMutex
 	ids   map[string]int32 // bare token → feature id, or stopword
 	names []string         // feature id → "w=<token>"
 	cache map[corpus.DocID]vector.Sparse
+	// present has bit id set for each id of the row being built, and
+	// summary bit w for each nonzero word present[w]. Both are zero
+	// between calls of distinct.
+	present, summary []uint64
 }
 
 // NewFeaturizer returns a featurizer with its own vocabulary.
@@ -47,7 +53,8 @@ const tupleBoost = 2.0
 // looked up like any other but is never a feature.
 const stopword = -1
 
-// scratch is one cold featurization's reusable buffers.
+// scratch is one featurization's reusable buffers: a cold document's
+// text tokens, or a training row's tuple tokens, and their ids.
 type scratch struct {
 	toks tokenize.Tokens
 	ids  []int32
@@ -73,9 +80,8 @@ func (f *Featurizer) Features(d *corpus.Document) vector.Sparse {
 	s.toks.Append(d.Text)
 	f.mu.Lock()
 	if x, ok = f.cache[d.ID]; !ok {
-		s.ids = f.intern(s.ids[:0], &s.toks, 0, s.toks.Len())
-		slices.Sort(s.ids)
-		x = vector.Binary(slices.Clone(slices.Compact(s.ids)))
+		s.ids = f.intern(s.ids[:0], &s.toks)
+		x = vector.Binary(f.distinct(s.ids))
 		f.cache[d.ID] = x
 	}
 	f.mu.Unlock()
@@ -86,42 +92,54 @@ func (f *Featurizer) Features(d *corpus.Document) vector.Sparse {
 
 // TrainingFeatures returns the feature vector of a labelled document,
 // boosting the word features that appear as attribute values of its
-// extracted tuples. The boosted vector is not cached.
+// extracted tuples. It merges d's row, cached as Features caches it,
+// with the sorted ids of the tuples' attribute tokens: a row id counts
+// 1, each occurrence of a tuple token adds tupleBoost, and the counts
+// are scaled to unit norm, bitwise FromCounts over them, then
+// Normalize. The boosted vector is not cached.
 func (f *Featurizer) TrainingFeatures(d *corpus.Document, tuples []relation.Tuple) vector.Sparse {
+	row := f.Features(d)
 	if len(tuples) == 0 {
-		return f.Features(d)
+		return row
 	}
 	//lint:allow detrand the scratch is reset before use and never reaches a row
 	s := scratchPool.Get().(*scratch)
 	s.toks.Reset()
-	s.toks.Append(d.Text)
-	words := s.toks.Len()
 	for _, t := range tuples {
 		s.toks.Append(t.Arg1)
 		s.toks.Append(t.Arg2)
 	}
 	f.mu.Lock()
-	s.ids = f.intern(s.ids[:0], &s.toks, 0, words)
-	text := len(s.ids)
-	s.ids = f.intern(s.ids, &s.toks, words, s.toks.Len())
+	s.ids = f.intern(s.ids[:0], &s.toks)
 	f.mu.Unlock()
-	counts := make(map[int32]float64, len(s.ids))
-	for _, id := range s.ids[:text] {
-		counts[id] = 1
-	}
-	for _, id := range s.ids[text:] {
-		counts[id] += tupleBoost
+	slices.Sort(s.ids)
+	r, ts := row.Packed().Idx, s.ids
+	idx := make([]int32, 0, len(r)+len(ts))
+	val := make([]float64, 0, len(r)+len(ts))
+	for i, j := 0, 0; i < len(r) || j < len(ts); {
+		var id int32
+		var c float64
+		if i < len(r) && (j == len(ts) || r[i] <= ts[j]) {
+			id, c = r[i], 1
+			i++
+		} else {
+			id = ts[j]
+		}
+		for ; j < len(ts) && ts[j] == id; j++ {
+			c += tupleBoost
+		}
+		idx, val = append(idx, id), append(val, c)
 	}
 	//lint:allow detrand the scratch is reset before use and never reaches a row
 	scratchPool.Put(s)
-	return vector.FromCounts(counts).Normalize()
+	return vector.Unit(idx, val)
 }
 
-// intern appends the feature id of each of toks' tokens i in [from, to)
-// to ids, skipping one-byte tokens and stopwords and interning new
-// tokens in order. f.mu must be held for writing.
-func (f *Featurizer) intern(ids []int32, toks *tokenize.Tokens, from, to int) []int32 {
-	for i := from; i < to; i++ {
+// intern appends the feature id of each of toks' tokens to ids,
+// skipping one-byte tokens and stopwords and interning new tokens in
+// order. f.mu must be held for writing.
+func (f *Featurizer) intern(ids []int32, toks *tokenize.Tokens) []int32 {
+	for i := 0; i < toks.Len(); i++ {
 		tok := toks.At(i)
 		if len(tok) < 2 {
 			continue
@@ -135,6 +153,41 @@ func (f *Featurizer) intern(ids []int32, toks *tokenize.Tokens, from, to int) []
 		}
 	}
 	return ids
+}
+
+// distinct returns the distinct ids of ids in ascending order, in a new
+// slice, without comparing any two: it marks each id in present and its
+// word in summary, then walks summary's set bits and each marked word's,
+// clearing both as it goes. That costs O(len(ids) + vocabulary/4096).
+// f.mu must be held for writing.
+func (f *Featurizer) distinct(ids []int32) []int32 {
+	for 64*len(f.present) < len(f.names) {
+		f.present = append(f.present, 0)
+		if 64*len(f.summary) < len(f.present) {
+			f.summary = append(f.summary, 0)
+		}
+	}
+	n := 0
+	for _, id := range ids {
+		w, bit := id>>6, uint64(1)<<(id&63)
+		if f.present[w]&bit == 0 {
+			f.present[w] |= bit
+			f.summary[w>>6] |= 1 << (w & 63)
+			n++
+		}
+	}
+	out := make([]int32, 0, n)
+	for i, sum := range f.summary {
+		for ; sum != 0; sum &= sum - 1 {
+			w := i<<6 | bits.TrailingZeros64(sum)
+			for word := f.present[w]; word != 0; word &= word - 1 {
+				out = append(out, int32(w<<6|bits.TrailingZeros64(word)))
+			}
+			f.present[w] = 0
+		}
+		f.summary[i] = 0
+	}
+	return out
 }
 
 // add enters a token not yet in the intern table: a stopword as

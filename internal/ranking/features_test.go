@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"strconv"
+	"strings"
 	"sync"
 	"testing"
 
@@ -109,6 +111,136 @@ func TestFeaturizerMatchesReference(t *testing.T) {
 			t.Fatalf("feature %d is %q, want %q", id, got, want)
 		}
 	}
+}
+
+// featCall is one featurizer call: a plain row of d, or its training row
+// over tuples.
+type featCall struct {
+	d      *corpus.Document
+	train  bool
+	tuples []relation.Tuple
+}
+
+// checkFeatCalls makes calls in order through a new Featurizer and a new
+// refFeaturizer: every row must be bitwise equal, and the id → name
+// tables identical at the end.
+func checkFeatCalls(t *testing.T, calls []featCall) {
+	t.Helper()
+	f, ref := NewFeaturizer(), refFeaturizer{vocab: tokenize.NewVocab()}
+	for k, c := range calls {
+		var got, want vector.Sparse
+		if c.train {
+			got, want = f.TrainingFeatures(c.d, c.tuples), ref.TrainingFeatures(c.d, c.tuples)
+		} else {
+			got, want = f.Features(c.d), ref.Features(c.d)
+		}
+		if !sameBits(got, want) {
+			t.Fatalf("call %d (doc %d %q, training %v, tuples %v): row %v, want %v",
+				k, c.d.ID, c.d.Text, c.train, c.tuples, got, want)
+		}
+	}
+	if len(f.names) != ref.vocab.Len() {
+		t.Fatalf("featurizer interned %d features, reference %d", len(f.names), ref.vocab.Len())
+	}
+	for id := range f.names {
+		if got, want := f.FeatureName(int32(id)), ref.vocab.Name(int32(id)); got != want {
+			t.Fatalf("feature %d is %q, want %q", id, got, want)
+		}
+	}
+}
+
+// trainingTuples draws the tuples of training call k on a document with
+// the given words. Between them they name new tokens, a word of another
+// document, tokens repeated within a tuple and across tuples, stopwords
+// and one-letter tokens; some calls carry only stopwords and one-letter
+// tokens, which leave the row as it is.
+func trainingTuples(r *rand.Rand, k int, words, other []string) []relation.Tuple {
+	pick := func(ws []string) string {
+		if len(ws) == 0 {
+			return "lava"
+		}
+		return ws[r.Intn(len(ws))]
+	}
+	if k%5 == 0 {
+		return []relation.Tuple{{Rel: relation.PH, Arg1: "The", Arg2: "of a X"}}
+	}
+	shared := pick(words)
+	novel := "novel" + strconv.Itoa(k)
+	return []relation.Tuple{
+		{Rel: relation.PH, Arg1: shared + " " + strings.ToUpper(shared), Arg2: "The X of " + novel + " " + novel},
+		{Rel: relation.PH, Arg1: shared, Arg2: pick(other) + " and " + pick(words) + " " + novel},
+	}
+}
+
+// TestTrainingFeaturesMatchReference holds training rows to
+// refFeaturizer in three call orders: each document's row cached before
+// its training row, training rows before any row of their document
+// (whose plain row must then still match), and plain and training calls
+// interleaved at random with repeats, so the row bitmaps are reused
+// across both kinds of call. The corpus ends with an empty text and a
+// text of one-letter tokens only.
+func TestTrainingFeaturesMatchReference(t *testing.T) {
+	docs := testCorpus(13, 300)
+	for _, text := range []string{"", "a I x 7 - '"} {
+		docs = append(docs, &corpus.Document{ID: corpus.DocID(len(docs)), Text: text})
+	}
+	words := make([][]string, len(docs))
+	for i, d := range docs {
+		words[i] = tokenize.Words(d.Text)
+	}
+	r := rand.New(rand.NewSource(13))
+	training := func(k, i int) featCall {
+		other := words[(i+1)%len(docs)]
+		return featCall{d: docs[i], train: true, tuples: trainingTuples(r, k, words[i], other)}
+	}
+
+	t.Run("warm", func(t *testing.T) {
+		var calls []featCall
+		for i, d := range docs {
+			calls = append(calls, featCall{d: d}, training(i, i))
+		}
+		checkFeatCalls(t, calls)
+	})
+	t.Run("training-first", func(t *testing.T) {
+		var calls []featCall
+		for i, d := range docs {
+			calls = append(calls, training(i, i), featCall{d: d}, training(i+len(docs), i))
+		}
+		checkFeatCalls(t, calls)
+	})
+	t.Run("interleaved", func(t *testing.T) {
+		var calls []featCall
+		for k := 0; k < 4*len(docs); k++ {
+			i := r.Intn(len(docs))
+			if r.Intn(3) == 0 {
+				calls = append(calls, training(k, i))
+			} else {
+				calls = append(calls, featCall{d: docs[i]})
+			}
+		}
+		checkFeatCalls(t, calls)
+	})
+}
+
+// FuzzTrainingFeaturesMatchesReference is TestTrainingFeaturesMatchReference
+// over fuzzed texts and tuple attributes: a cold training row, the plain
+// rows of two documents, and warm training rows, against refFeaturizer.
+func FuzzTrainingFeaturesMatchesReference(f *testing.F) {
+	f.Add("The eruption of Mount Pinatubo buried Clark Air Base in ash.", "Mount Pinatubo", "Clark Air Base", "the", "ash ash X")
+	f.Add("", "Quill Holdings", "a", "quill", "QUILL quill")
+	f.Add("Simões visited São Paulo's harbour", "são paulo", "Simões", "caf\xe9 \xff", "x' --a BB-")
+	f.Fuzz(func(t *testing.T, text, a1, a2, b1, b2 string) {
+		d0 := &corpus.Document{ID: 0, Text: text}
+		d1 := &corpus.Document{ID: 1, Text: a2 + " " + b1}
+		tuples := []relation.Tuple{{Rel: relation.PH, Arg1: a1, Arg2: a2}, {Rel: relation.PH, Arg1: b1, Arg2: b2}}
+		checkFeatCalls(t, []featCall{
+			{d: d0, train: true, tuples: tuples},
+			{d: d0},
+			{d: d1},
+			{d: d1, train: true, tuples: tuples[1:]},
+			{d: d0, train: true, tuples: tuples},
+		})
+	})
 }
 
 // TestFeaturizerConcurrent featurizes overlapping, shuffled slices of one

@@ -97,6 +97,25 @@ func Binary(idx []int32) Sparse {
 	return Sparse{idx: idx, val: val}
 }
 
+// Unit returns the vector over idx with the values val scaled in place
+// to unit L2 norm: the squares are summed in idx order and every value
+// multiplied by 1/√sum, which is bitwise FromCounts over the same pairs,
+// then Normalize. idx must be strictly increasing, and val nonzero with
+// a finite sum of squares; Unit takes ownership of both.
+func Unit(idx []int32, val []float64) Sparse {
+	var sum float64
+	for _, v := range val {
+		sum += v * v
+	}
+	if sum != 0 {
+		a := 1 / math.Sqrt(sum)
+		for k := range val {
+			val[k] *= a
+		}
+	}
+	return Sparse{idx: idx, val: val}
+}
+
 // NNZ reports the number of stored (non-zero) entries.
 func (s Sparse) NNZ() int { return len(s.idx) }
 
