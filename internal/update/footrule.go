@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"math"
 	"slices"
+	"strconv"
 
 	"adaptiverank/internal/vector"
 )
@@ -49,11 +50,12 @@ type footrule struct {
 	entered []int32   // scratch: the ids that entered the last list
 }
 
-// prefixEntry is one feature of a ranked list: its id, half its |weight|
-// (its share of the feature's mean weight across the two lists), and the
-// cumulative |weight| of the list up to and including it.
+// prefixEntry is one feature of a ranked list: its id, its 0-based rank,
+// half its |weight| (its share of the feature's mean weight across the
+// two lists), and the cumulative |weight| of the list up to and
+// including it.
 type prefixEntry struct {
-	id        int32
+	id, rank  int32
 	half, cum float64
 }
 
@@ -66,11 +68,11 @@ func (s *footrule) distance(a, b []vector.WeightedFeature) float64 {
 func (s *footrule) setRef(a []vector.WeightedFeature) {
 	s.ref = s.ref[:0]
 	var cum, halves float64
-	for _, f := range a {
+	for r, f := range a {
 		half := math.Abs(f.Weight) / 2
 		cum += math.Abs(f.Weight)
 		halves += half
-		s.ref = append(s.ref, prefixEntry{id: f.Index, half: half, cum: cum})
+		s.ref = append(s.ref, prefixEntry{id: f.Index, rank: int32(r), half: half, cum: cum})
 	}
 	slices.SortFunc(s.ref, func(x, y prefixEntry) int { return cmp.Compare(x.id, y.id) })
 	s.refTotal, s.refHalves = cum, halves
@@ -154,4 +156,75 @@ func (s *footrule) track(b []vector.WeightedFeature) float64 {
 	}
 	s.ids = kept
 	return cum
+}
+
+// topMoves is how many displaced features the decision evidence names.
+const topMoves = 5
+
+// move is one feature's displacement between the reference list and the
+// last list: its ranks in each (-1 where absent) and the rank delta that
+// orders the evidence, where an absence counts as a full-list move.
+type move struct {
+	id, from, to, delta int
+}
+
+// evidence compares the reference list with the last list handed to to:
+// how many features entered and left the list since the reference, and
+// the topMoves most displaced features as an "index:refRank->curRank"
+// list (0-based ranks, -1 for absent), ordered by rank delta, descending,
+// then by id. It merges the two id-sorted tables, as to does, and keeps
+// the leading moves by bounded insertion: the merge meets ids in
+// ascending order, so a move goes after every kept move whose delta is
+// at least its own.
+func (s *footrule) evidence() (entered, left int, displaced string) {
+	full := max(len(s.ref), len(s.ids))
+	var top [topMoves]move
+	n := 0
+	ta, tb := s.ref, s.ids
+	for i, j := 0, 0; i < len(ta) || j < len(tb); {
+		inA := i < len(ta) && (j == len(tb) || ta[i].id <= tb[j])
+		inB := j < len(tb) && (i == len(ta) || tb[j] <= ta[i].id)
+		m := move{from: -1, to: -1, delta: full}
+		if inA {
+			m.id, m.from = int(ta[i].id), int(ta[i].rank)
+			i++
+		}
+		if inB {
+			m.id, m.to = int(tb[j]), int(s.rank[tb[j]]-1)
+			j++
+		}
+		switch {
+		case !inA:
+			entered++
+		case !inB:
+			left++
+		case m.from == m.to:
+			continue
+		default:
+			m.delta = max(m.from-m.to, m.to-m.from)
+		}
+		k := n
+		for k > 0 && top[k-1].delta < m.delta {
+			k--
+		}
+		if k == topMoves {
+			continue
+		}
+		n = min(n+1, topMoves)
+		copy(top[k+1:n], top[k:])
+		top[k] = m
+	}
+	var buf [128]byte
+	b := buf[:0]
+	for k, m := range top[:n] {
+		if k > 0 {
+			b = append(b, ',')
+		}
+		b = strconv.AppendInt(b, int64(m.id), 10)
+		b = append(b, ':')
+		b = strconv.AppendInt(b, int64(m.from), 10)
+		b = append(b, "->"...)
+		b = strconv.AppendInt(b, int64(m.to), 10)
+	}
+	return entered, left, string(b)
 }

@@ -1,11 +1,8 @@
 package update
 
 import (
-	"fmt"
 	"math"
 	"slices"
-	"sort"
-	"strings"
 
 	"adaptiverank/internal/learn"
 	"adaptiverank/internal/obs"
@@ -47,8 +44,8 @@ type TopK struct {
 	mark    []uint32
 	gen     uint32
 	moved   []vector.WeightedFeature
-	// ev is the decision evidence, topKEvidence(ref, cur), computed on
-	// the first recorded decision after either list changes.
+	// ev is the decision evidence of ref and cur (footrule.evidence),
+	// computed on the first recorded decision after either list changes.
 	ev topKMoves
 	// Label-balancing holdback queues: the raw document stream is
 	// heavily skewed toward useless documents, under which an
@@ -179,7 +176,7 @@ func (t *TopK) Observe(x vector.Sparse, useful bool) bool {
 	}
 	if t.rec != nil && t.rec.Enabled() {
 		if !t.ev.valid {
-			t.ev.entered, t.ev.left, t.ev.displaced = topKEvidence(t.ref, t.cur)
+			t.ev.entered, t.ev.left, t.ev.displaced = t.fr.evidence()
 			t.ev.valid = true
 		}
 		t.rec.Record(obs.Event{Kind: obs.KindDetectorDecision, Name: t.Name(),
@@ -291,69 +288,11 @@ func merge(dst, b []vector.WeightedFeature) []vector.WeightedFeature {
 	return dst
 }
 
-// topKMoves is topKEvidence's result, cached while valid.
+// topKMoves is the decision evidence, cached while valid.
 type topKMoves struct {
 	entered, left int
 	displaced     string
 	valid         bool
-}
-
-// topKEvidence compares the reference and current top-K feature lists:
-// how many features entered and left the list since the last baseline,
-// and the most displaced features as a "index:refRank->curRank" list
-// (0-based ranks, -1 for absent). Displacement is ranked by rank delta
-// — absences count as a full-list move — with feature index as the
-// deterministic tiebreaker.
-func topKEvidence(ref, cur []vector.WeightedFeature) (entered, left int, displaced string) {
-	refPos := make(map[int32]int, len(ref))
-	for p, f := range ref {
-		refPos[f.Index] = p
-	}
-	maxMove := len(ref)
-	if len(cur) > maxMove {
-		maxMove = len(cur)
-	}
-	type move struct {
-		index    int32
-		from, to int
-		delta    int
-	}
-	var moves []move
-	for p, f := range cur {
-		rp, ok := refPos[f.Index]
-		if !ok {
-			entered++
-			moves = append(moves, move{index: f.Index, from: -1, to: p, delta: maxMove})
-			continue
-		}
-		delete(refPos, f.Index)
-		if d := rp - p; d != 0 {
-			if d < 0 {
-				d = -d
-			}
-			moves = append(moves, move{index: f.Index, from: rp, to: p, delta: d})
-		}
-	}
-	left = len(refPos)
-	//lint:allow detrand collection order is erased by the sort below
-	for i, p := range refPos {
-		moves = append(moves, move{index: i, from: p, to: -1, delta: maxMove})
-	}
-	sort.Slice(moves, func(a, b int) bool {
-		if moves[a].delta != moves[b].delta {
-			return moves[a].delta > moves[b].delta
-		}
-		return moves[a].index < moves[b].index
-	})
-	const topMoves = 5
-	if len(moves) > topMoves {
-		moves = moves[:topMoves]
-	}
-	parts := make([]string, len(moves))
-	for i, m := range moves {
-		parts[i] = fmt.Sprintf("%d:%d->%d", m.index, m.from, m.to)
-	}
-	return entered, left, strings.Join(parts, ",")
 }
 
 // Reset implements Detector: re-baseline the reference list to the

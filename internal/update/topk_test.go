@@ -1,9 +1,12 @@
 package update
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"slices"
+	"sort"
+	"strings"
 	"testing"
 
 	"adaptiverank/internal/obs"
@@ -145,9 +148,10 @@ func FuzzTopKMatchesFullSelection(f *testing.F) {
 
 // TestTopKDecisionEvidenceMatchesLists records every decision through
 // resets and requires each event's entered, left and displaced values
-// to equal topKEvidence over the ref and cur of that moment. Resets land
-// inside one-sided runs, so the observation after one does not step the
-// side classifier: only Reset can have made the cached evidence stale.
+// to equal referenceTopKEvidence over the ref and cur of that moment.
+// Resets land inside one-sided runs, so the observation after one does
+// not step the side classifier: only Reset can have made the cached
+// evidence stale.
 func TestTopKDecisionEvidenceMatchesLists(t *testing.T) {
 	r := rand.New(rand.NewSource(5))
 	tk, doc := primedTopK(r, 10)
@@ -168,7 +172,7 @@ func TestTopKDecisionEvidenceMatchesLists(t *testing.T) {
 		fired := tk.Observe(doc(useful, 5*(i/200)), useful)
 		evs := rec.Events()
 		e := evs[len(evs)-1]
-		entered, left, displaced := topKEvidence(tk.ref, tk.cur)
+		entered, left, displaced := referenceTopKEvidence(tk.ref, tk.cur)
 		if got := attr(e, obs.EvidenceEntered).Num; got != float64(entered) {
 			t.Fatalf("observation %d: entered = %v, lists give %d", i, got, entered)
 		}
@@ -188,6 +192,128 @@ func TestTopKDecisionEvidenceMatchesLists(t *testing.T) {
 	if staleResets == 0 {
 		t.Fatal("no reset replaced evidence with entries; the stream must move the top-K list")
 	}
+}
+
+// referenceTopKEvidence is the decision evidence as Top-K computed it
+// before footrule.evidence: it compares the reference and current top-K
+// feature lists through a position map and a full sort of the moves:
+// how many features entered and left the list since the last baseline,
+// and the most displaced features as a "index:refRank->curRank" list
+// (0-based ranks, -1 for absent). Displacement is ranked by rank delta
+// — absences count as a full-list move — with feature index as the
+// deterministic tiebreaker.
+func referenceTopKEvidence(ref, cur []vector.WeightedFeature) (entered, left int, displaced string) {
+	refPos := make(map[int32]int, len(ref))
+	for p, f := range ref {
+		refPos[f.Index] = p
+	}
+	maxMove := len(ref)
+	if len(cur) > maxMove {
+		maxMove = len(cur)
+	}
+	type move struct {
+		index    int32
+		from, to int
+		delta    int
+	}
+	var moves []move
+	for p, f := range cur {
+		rp, ok := refPos[f.Index]
+		if !ok {
+			entered++
+			moves = append(moves, move{index: f.Index, from: -1, to: p, delta: maxMove})
+			continue
+		}
+		delete(refPos, f.Index)
+		if d := rp - p; d != 0 {
+			if d < 0 {
+				d = -d
+			}
+			moves = append(moves, move{index: f.Index, from: rp, to: p, delta: d})
+		}
+	}
+	left = len(refPos)
+	//lint:allow detrand collection order is erased by the sort below
+	for i, p := range refPos {
+		moves = append(moves, move{index: i, from: p, to: -1, delta: maxMove})
+	}
+	sort.Slice(moves, func(a, b int) bool {
+		if moves[a].delta != moves[b].delta {
+			return moves[a].delta > moves[b].delta
+		}
+		return moves[a].index < moves[b].index
+	})
+	const topMoves = 5
+	if len(moves) > topMoves {
+		moves = moves[:topMoves]
+	}
+	parts := make([]string, len(moves))
+	for i, m := range moves {
+		parts[i] = fmt.Sprintf("%d:%d->%d", m.index, m.from, m.to)
+	}
+	return entered, left, strings.Join(parts, ",")
+}
+
+// TestFootruleEvidenceMatchesReference holds footrule.evidence to
+// referenceTopKEvidence, string for string, over random list pairs
+// drawn from a small id range with few distinct weights: lists of
+// different lengths, a list and its own ranks swapped (ties in rank
+// delta), disjoint lists (ids from two separate ranges) and empty
+// lists. One evaluator is reused, so the current list's id table is
+// patched from the pair before.
+func TestFootruleEvidenceMatchesReference(t *testing.T) {
+	r := rand.New(rand.NewSource(8))
+	list := func(lo, span int32) []vector.WeightedFeature {
+		n := r.Intn(12)
+		if r.Intn(4) == 0 {
+			n += r.Intn(40)
+		}
+		w := vector.NewWeights()
+		for k := 0; k < n; k++ {
+			w.Set(lo+r.Int31n(span), float64(1+r.Intn(4)))
+		}
+		return w.TopK(int(span))
+	}
+	// perturb swaps a few of l's ranks, so that most features stay in
+	// both lists and each swap makes two moves tied on delta.
+	perturb := func(l []vector.WeightedFeature) []vector.WeightedFeature {
+		out := slices.Clone(l)
+		for n := r.Intn(5); n > 0 && len(out) > 1; n-- {
+			i, j := r.Intn(len(out)), r.Intn(len(out))
+			out[i], out[j] = out[j], out[i]
+		}
+		return out
+	}
+	var fr footrule
+	var ties, disjoint, empty int
+	for pair := 0; pair < 20000; pair++ {
+		ref, cur := list(0, 30), list(0, 30)
+		switch pair % 7 {
+		case 0:
+			cur = list(30, 30)
+			disjoint++
+		case 1, 2, 3:
+			cur = perturb(ref)
+		}
+		if len(ref) == 0 || len(cur) == 0 {
+			empty++
+		}
+		fr.setRef(ref)
+		fr.to(cur)
+		entered, left, displaced := fr.evidence()
+		wantEntered, wantLeft, wantDisplaced := referenceTopKEvidence(ref, cur)
+		if entered != wantEntered || left != wantLeft || displaced != wantDisplaced {
+			t.Fatalf("pair %d: ref %v, cur %v: evidence (%d, %d, %q), reference (%d, %d, %q)",
+				pair, ref, cur, entered, left, displaced, wantEntered, wantLeft, wantDisplaced)
+		}
+		if entered+left > topMoves { // the cut falls inside a tie on the full delta
+			ties++
+		}
+	}
+	if ties == 0 || disjoint == 0 || empty == 0 {
+		t.Fatalf("%d cuts inside a tie, %d disjoint pairs, %d with an empty list; the draw must make each", ties, disjoint, empty)
+	}
+	t.Logf("%d cuts inside a tie, %d disjoint pairs, %d with an empty list", ties, disjoint, empty)
 }
 
 // TestFootruleReusedAcrossPerturbedLists holds one evaluator, reused
