@@ -119,7 +119,7 @@ func ReadTrace(r io.Reader) ([]TraceEvent, error) { return obs.ReadEvents(r) }
 // documents, a weight-drift timeline across model updates, and — when
 // its Recorder is teed into Options.Recorder — the structured evidence
 // behind every detector decision, all into a crash-safe JSONL artifact
-// (render it with cmd/explainreport) plus a live HTTP view.
+// (render it with cmd/runreport) plus a live HTTP view.
 type Explainer = explain.Explainer
 
 // ExplainOptions configures NewExplainer; Dir is required.

@@ -4,8 +4,8 @@ package prof
 // exports (scheduler latencies, GC cycles, heap goal, cgo calls, ...)
 // is written as one JSONL line per sample, stamped with the wall clock
 // and the profile phase active at sample time. Consumers diff adjacent
-// lines to get per-interval deltas; cmd/profreport summarizes a few
-// headline series.
+// lines to get per-interval deltas; cmd/runreport reads only the
+// manifest, not these samples.
 
 import (
 	"runtime/metrics"

@@ -3,7 +3,7 @@
 // evaluation revolves around, detector decision timelines with
 // fire/suppress markers, model-update feature-churn summaries, the
 // Section 4 per-phase CPU-time accounts, and side-by-side A/B
-// comparison of two traces. cmd/obsreport is the CLI front end.
+// comparison of two traces. cmd/runreport is the CLI front end.
 package report
 
 import (

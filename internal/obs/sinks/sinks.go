@@ -46,7 +46,7 @@ type Flags struct {
 // values they parse into.
 func Register(fs *flag.FlagSet) *Flags {
 	f := &Flags{}
-	fs.StringVar(&f.Trace, "trace", "", "write a JSONL event trace of every pipeline run to this file (convert with obsreport -chrome for a Perfetto flame timeline)")
+	fs.StringVar(&f.Trace, "trace", "", "write a JSONL event trace of every pipeline run to this file (read it with runreport; runreport -chrome converts it to a Perfetto flame timeline)")
 	fs.BoolVar(&f.Metrics, "metrics", false, "dump metrics collected across all pipeline runs (expvar-style text) to stderr on exit")
 	fs.StringVar(&f.Serve, "serve", "", "serve /metrics (Prometheus), /events (SSE), /runs, /alerts, /healthz, /debug/pprof, /debug/blackbox, /profiles, /model and /explain on this address while running (e.g. localhost:6060)")
 	fs.Float64Var(&f.SLOMinRecallSlope, "slo-min-recall-slope", 0, "SLO watchdog: alert when useful-docs-per-document over the trailing window falls below this floor (0 = rule off)")
@@ -54,10 +54,10 @@ func Register(fs *flag.FlagSet) *Flags {
 	fs.DurationVar(&f.SLOMaxP99, "slo-max-p99", 0, "SLO watchdog: alert when the p99 per-document step latency exceeds this bound (0 = rule off)")
 	fs.IntVar(&f.SLOWindow, "slo-window", 0, "SLO watchdog: override the rules' trailing-window sizes (0 = per-rule defaults)")
 	fs.Float64Var(&f.SLOMaxFaultRate, "slo-max-fault-rate", 0, "SLO watchdog: alert when the extraction fault rate over the trailing window exceeds this ceiling (0 = rule off)")
-	fs.StringVar(&f.ProfDir, "prof-dir", "", "continuous profiling: write CPU windows whose samples carry a pprof phase label, heap/goroutine snapshots, runtime-metrics samples and a JSONL manifest under this directory (inspect with profreport -dir and go tool pprof -tags)")
+	fs.StringVar(&f.ProfDir, "prof-dir", "", "continuous profiling: write CPU windows whose samples carry a pprof phase label, heap/goroutine snapshots, runtime-metrics samples and a JSONL manifest under this directory (inspect with runreport DIR and go tool pprof -tags)")
 	fs.DurationVar(&f.ProfCPUWindow, "prof-cpu-window", 10*time.Second, "continuous profiling: CPU profile window length; windows rotate on this clock only (0 disables CPU windows)")
-	fs.StringVar(&f.Blackbox, "blackbox", "", "flight recorder: keep a bounded ring of recent events in memory and flush postmortem bundles to this directory on worker panic, SLO alert, or SIGQUIT (inspect with profreport -bundle)")
-	fs.StringVar(&f.ExplainDir, "explain-dir", "", "model introspection: write weight-drift snapshots, top-ranked score attributions, and detector decision evidence for every pipeline run as a JSONL artifact under this directory (inspect with explainreport -dir; live at /model and /explain with -serve)")
+	fs.StringVar(&f.Blackbox, "blackbox", "", "flight recorder: keep a bounded ring of recent events in memory and flush postmortem bundles to this directory on worker panic, SLO alert, or SIGQUIT (inspect a bundle with runreport)")
+	fs.StringVar(&f.ExplainDir, "explain-dir", "", "model introspection: write weight-drift snapshots, top-ranked score attributions, and detector decision evidence for every pipeline run as a JSONL artifact under this directory (inspect with runreport DIR; live at /model and /explain with -serve)")
 	fs.IntVar(&f.ExplainTop, "explain-top", 0, "model introspection: attribute this many top-ranked documents per (re-)ranking (0 = default)")
 	return f
 }
@@ -246,11 +246,11 @@ func (s *Sinks) closeSinks(code int) int {
 	f := s.flags
 	if s.profiler != nil {
 		closed("prof", s.profiler.Close(),
-			fmt.Sprintf("profiles written to %s (inspect with profreport -dir %s)", f.ProfDir, f.ProfDir))
+			fmt.Sprintf("profiles written to %s (inspect with runreport %s)", f.ProfDir, f.ProfDir))
 	}
 	if s.Explainer != nil {
 		closed("explain", s.Explainer.Close(),
-			fmt.Sprintf("explain artifact written to %s (inspect with explainreport -dir %s)", f.ExplainDir, f.ExplainDir))
+			fmt.Sprintf("explain artifact written to %s (inspect with runreport %s)", f.ExplainDir, f.ExplainDir))
 	}
 	if s.trace != nil {
 		closed("trace", s.trace.Close(), "trace written to "+f.Trace)
@@ -264,7 +264,7 @@ func (s *Sinks) closeSinks(code int) int {
 func (s *Sinks) Report(w io.Writer) {
 	if s.Blackbox != nil {
 		if bundles, err := blackbox.Bundles(s.flags.Blackbox); err == nil && len(bundles) > 0 {
-			fmt.Fprintf(w, "postmortem: %d bundle(s) in %s (inspect with profreport -bundle %s/%s)\n",
+			fmt.Fprintf(w, "postmortem: %d bundle(s) in %s (inspect with runreport %s/%s)\n",
 				len(bundles), s.flags.Blackbox, s.flags.Blackbox, bundles[len(bundles)-1])
 		}
 	}
