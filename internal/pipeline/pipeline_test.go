@@ -6,6 +6,7 @@ import (
 	"adaptiverank/internal/corpus"
 	"adaptiverank/internal/extract"
 	"adaptiverank/internal/index"
+	"adaptiverank/internal/obs"
 	"adaptiverank/internal/ranking"
 	"adaptiverank/internal/relation"
 	"adaptiverank/internal/sampling"
@@ -147,14 +148,18 @@ func TestDeterministicRuns(t *testing.T) {
 	}
 }
 
-func TestMaxDocsStopsEarly(t *testing.T) {
-	env := newTestEnv(t, 7)
+// maxDocsOpts stops a learned run over env after 100 ranked documents.
+func maxDocsOpts(env *testEnv) Options {
 	feat := ranking.NewFeaturizer()
-	res, err := Run(Options{
+	return Options{
 		Rel: relation.PH, Coll: env.coll, Labels: env.labels, Sample: env.sample,
 		Strategy:   NewLearned(ranking.NewRSVMIE(ranking.RSVMOptions{Seed: 7}), feat),
 		Featurizer: feat, MaxDocs: 100,
-	})
+	}
+}
+
+func TestMaxDocsStopsEarly(t *testing.T) {
+	res, err := Run(maxDocsOpts(newTestEnv(t, 7)))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,23 +168,36 @@ func TestMaxDocsStopsEarly(t *testing.T) {
 	}
 }
 
-func TestSearchInterfacePoolGrowth(t *testing.T) {
-	env := newTestEnv(t, 8)
+// searchIfaceOpts runs RSVM-IE and Wind-F over env in the
+// search-interface scenario. Every update grows the pool, and the
+// feature queries retrieve documents already pending as well as new ones.
+func searchIfaceOpts(env *testEnv) Options {
 	idx := index.Build(env.coll)
 	feat := ranking.NewFeaturizer()
 	r := ranking.NewRSVMIE(ranking.RSVMOptions{Seed: 8})
-	res, err := Run(Options{
+	return Options{
 		Rel: relation.PH, Coll: env.coll, Labels: env.labels,
 		Sample:   sampling.CQS(idx, []string{"charged", "fraud"}, 100, 10),
-		Strategy: NewLearned(r, feat), Detector: update.NewWindF(50),
+		Strategy: NewLearned(r, feat), Detector: update.NewWindF(20),
 		Featurizer: feat,
 		SearchIface: &SearchIfaceOptions{
 			Index:          idx,
 			InitialQueries: []string{"charged", "fraud", "indicted"},
 		},
-	})
+	}
+}
+
+func TestSearchInterfacePoolGrowth(t *testing.T) {
+	env := newTestEnv(t, 8)
+	rec := &obs.MemRecorder{}
+	opts := searchIfaceOpts(env)
+	opts.Recorder = rec
+	res, err := Run(opts)
 	if err != nil {
 		t.Fatal(err)
+	}
+	if first := kindEvents(rec, obs.KindRankStarted)[0].N; res.PoolSize <= first {
+		t.Errorf("pool of %d never grew past the initial retrieval's %d", res.PoolSize, first)
 	}
 	if len(res.Order) >= env.coll.Len() {
 		t.Error("search-interface pool must not cover the whole collection")

@@ -429,28 +429,7 @@ func TestRunRequeuesOnOpenBreaker(t *testing.T) {
 	env := newTestEnv(t, 13)
 	reg := obs.NewRegistry()
 	rec := &obs.MemRecorder{}
-	// An oracle that fails hard for a stretch of calls after the sample,
-	// tripping the breaker, then recovers.
-	calls := 0
-	inner := env.labels
-	failFrom, failTo := len(env.sample)+10, len(env.sample)+30
-	flaky := oracleFunc{
-		label: func(ctx context.Context, d *corpus.Document) (bool, []relation.Tuple, error) {
-			calls++
-			if calls >= failFrom && calls < failTo {
-				return false, nil, errors.New("backend down")
-			}
-			u, ts := inner.Label(d)
-			return u, ts, nil
-		},
-		total: inner.TotalUseful,
-	}
-	r := NewResilient(flaky, ResilientOptions{
-		MaxAttempts: 2, BreakerThreshold: 4, BreakerCooldown: 2,
-		Sleep: func(time.Duration) {},
-	})
-	opts := learnedOpts(env, 13)
-	opts.Labels = r
+	opts := breakerOpts(env)
 	opts.Metrics = reg
 	opts.Recorder = rec
 	res, err := RunContext(context.Background(), opts)
@@ -472,6 +451,32 @@ func TestRunRequeuesOnOpenBreaker(t *testing.T) {
 		t.Fatalf("sample %d + ranked %d + skipped %d != collection %d",
 			res.SampleSize, len(res.Order), len(res.Skipped), env.coll.Len())
 	}
+}
+
+// breakerOpts is learnedOpts at seed 13 behind a resilient oracle that
+// fails hard for a stretch of calls after the sample, tripping the
+// breaker, then recovers.
+func breakerOpts(env *testEnv) Options {
+	calls := 0
+	inner := env.labels
+	failFrom, failTo := len(env.sample)+10, len(env.sample)+30
+	flaky := oracleFunc{
+		label: func(ctx context.Context, d *corpus.Document) (bool, []relation.Tuple, error) {
+			calls++
+			if calls >= failFrom && calls < failTo {
+				return false, nil, errors.New("backend down")
+			}
+			u, ts := inner.Label(d)
+			return u, ts, nil
+		},
+		total: inner.TotalUseful,
+	}
+	opts := learnedOpts(env, 13)
+	opts.Labels = NewResilient(flaky, ResilientOptions{
+		MaxAttempts: 2, BreakerThreshold: 4, BreakerCooldown: 2,
+		Sleep: func(time.Duration) {},
+	})
+	return opts
 }
 
 // oracleFunc adapts closures to ContextOracle.
