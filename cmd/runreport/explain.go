@@ -125,7 +125,7 @@ func reportSummary(w io.Writer, dir string, topN int) error {
 
 // reportProvenance lists every detector decision with its structured
 // evidence — the full fire/no-fire audit trail.
-func reportProvenance(w io.Writer, dir string, topN int) error {
+func reportProvenance(w io.Writer, dir string) error {
 	l, err := explain.ReadLog(dir)
 	if err != nil {
 		return err

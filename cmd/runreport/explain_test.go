@@ -52,7 +52,7 @@ func TestGoldenExplain(t *testing.T) {
 		render func(*bytes.Buffer) error
 	}{
 		{"explain_summary.golden", func(b *bytes.Buffer) error { return reportSummary(b, dir, 10) }},
-		{"explain_provenance.golden", func(b *bytes.Buffer) error { return reportProvenance(b, dir, 10) }},
+		{"explain_provenance.golden", func(b *bytes.Buffer) error { return reportProvenance(b, dir) }},
 		{"explain_fired.golden", func(b *bytes.Buffer) error { return reportFired(b, dir, 2) }},
 		{"explain_doc.golden", func(b *bytes.Buffer) error { return reportDoc(b, dir, 23) }},
 	} {
