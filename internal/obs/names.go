@@ -110,7 +110,10 @@ const (
 )
 
 // Phase names: the Name of KindPhase events. PhaseTotals folds them
-// into the CPU-time accounts below.
+// into the CPU-time accounts below. PhaseStrategyObserve is the ranking
+// work a pipeline does per document outside its rank passes: the
+// strategy's Observe and the pop of the next document from the pass's
+// heap.
 const (
 	PhaseInitTrain       = "init-train"
 	PhaseDetectorPrime   = "detector-prime"
