@@ -202,6 +202,22 @@ func TestExplainArtifactInvariants(t *testing.T) {
 					t.Fatalf("update snapshot incomplete: %+v", s)
 				}
 			}
+
+			// Every snapshot lists the model's 15 strongest weights (all
+			// of them when it has fewer) and at most 15 movers.
+			full := 0
+			for i, s := range l.Snapshots {
+				if want := min(s.NNZ, 15); len(s.Top) != want || len(s.Movers) > 15 {
+					t.Fatalf("snapshot %d of a model with %d weights lists %d top features and %d movers, want %d and at most 15",
+						i, s.NNZ, len(s.Top), len(s.Movers), want)
+				}
+				if s.NNZ >= 15 {
+					full++
+				}
+			}
+			if full == 0 {
+				t.Fatal("no snapshot of a model with 15 weights: the list length went unchecked")
+			}
 		})
 	}
 }

@@ -1,6 +1,12 @@
 package factcrawl
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
+	"math"
+	"math/rand"
+	"strings"
 	"testing"
 
 	"adaptiverank/internal/corpus"
@@ -129,5 +135,42 @@ func TestNames(t *testing.T) {
 	}
 	if New(idx, nil, Options{}, true).Name() != "A-FC" {
 		t.Error("A-FC name")
+	}
+}
+
+// TestFCPrimeScoreDigest pins the query F-measure FactCrawl scores with
+// (β = 1, as New builds it by default): over a fixed synthetic
+// collection, every document's score after Prime hashes to a constant.
+// The sample makes precision and recall differ for most queries, so any
+// other β moves the scores.
+func TestFCPrimeScoreDigest(t *testing.T) {
+	vocab := strings.Fields("lava ash crater plume magma basalt garlic recipe simmer basil oven broth")
+	r := rand.New(rand.NewSource(3))
+	docs := make([]*corpus.Document, 400)
+	for i := range docs {
+		words := make([]string, 6)
+		for j := range words {
+			words[j] = vocab[r.Intn(len(vocab))]
+		}
+		docs[i] = &corpus.Document{Text: strings.Join(words, " ")}
+	}
+	coll := corpus.NewCollection(docs)
+	fc := New(index.Build(coll), []sampling.QueryList{
+		{Method: "m1", Queries: []string{"lava", "ash", "crater", "garlic"}},
+		{Method: "m2", Queries: []string{"magma", "plume", "recipe"}},
+	}, Options{}, false)
+	useful := func(id corpus.DocID) bool {
+		text := coll.Doc(id).Text
+		return strings.Contains(text, "lava") && strings.Contains(text, "magma") || id%11 == 0
+	}
+	fc.Prime(coll.Docs()[:200], useful)
+	h := sha256.New()
+	for _, d := range coll.Docs() {
+		binary.Write(h, binary.LittleEndian, math.Float64bits(fc.Score(d)))
+	}
+	got := hex.EncodeToString(h.Sum(nil))
+	t.Logf("digest %s", got)
+	if want := "875dd392aa0dc773272f50c4ca705ce64980bfbb280b029ceee56d1628ffcd69"; got != want {
+		t.Errorf("digest = %s, want %s", got, want)
 	}
 }

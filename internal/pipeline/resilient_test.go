@@ -2,6 +2,8 @@ package pipeline
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"testing"
@@ -116,6 +118,31 @@ func TestResilientErrorOnlySchedule(t *testing.T) {
 		reg.CounterValue("resilience.timeouts") != 0 ||
 		reg.CounterValue("resilience.docs_poisoned") != 0 {
 		t.Fatal("error-only schedule incremented unrelated counters")
+	}
+}
+
+// TestResilientJitterDigest pins the backoff jitter: the Sleep durations
+// of TestResilientErrorOnlySchedule's fault schedule hash to a constant.
+// Trace comparisons skip dur_ns, so no other check sees the jitter.
+func TestResilientJitterDigest(t *testing.T) {
+	var slept []time.Duration
+	r, _ := resilientOver(
+		extract.FlakyOptions{Seed: 7, ErrorRate: 0.3, MaxFaultyAttempts: 2},
+		ResilientOptions{MaxAttempts: 4, Sleep: func(d time.Duration) { slept = append(slept, d) }},
+		nil, obs.Nop())
+	for i := 0; i < 100; i++ {
+		if _, _, err := r.LabelContext(context.Background(), resilientDoc(i)); err != nil {
+			t.Fatalf("doc %d: %v", i, err)
+		}
+	}
+	h := sha256.New()
+	for _, d := range slept {
+		putUint64(h, uint64(d))
+	}
+	got := hex.EncodeToString(h.Sum(nil))
+	t.Logf("%d sleeps: digest %s", len(slept), got)
+	if want := "b134f646dc51c3f3cb6a01a8ee88a2945c6ee957f7df6de3832f16f532c5a527"; got != want {
+		t.Errorf("digest = %s, want %s", got, want)
 	}
 }
 

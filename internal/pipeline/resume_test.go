@@ -5,9 +5,11 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 	"time"
 
@@ -450,6 +452,65 @@ func TestRunRequeuesOnOpenBreaker(t *testing.T) {
 	if res.SampleSize+len(res.Order)+len(res.Skipped) != env.coll.Len() {
 		t.Fatalf("sample %d + ranked %d + skipped %d != collection %d",
 			res.SampleSize, len(res.Order), len(res.Skipped), env.coll.Len())
+	}
+}
+
+// TestRequeueLimit pins the requeue limit: a document fast-failed with
+// ErrBreakerOpen three times is processed on its fourth labelling call,
+// and a fourth fast-fail skips it with obs.ReasonRequeueLimit instead.
+func TestRequeueLimit(t *testing.T) {
+	docs := make([]*corpus.Document, 8)
+	for i := range docs {
+		docs[i] = &corpus.Document{Text: fmt.Sprintf("document number %d", i)}
+	}
+	coll := corpus.NewCollection(docs)
+	labels := ComputeLabels(extract.Get(relation.PH), coll)
+	const target corpus.DocID = 3
+	for _, tc := range []struct {
+		fastFails int
+		skipped   bool
+	}{{3, false}, {4, true}} {
+		calls := 0
+		oracle := oracleFunc{
+			label: func(_ context.Context, d *corpus.Document) (bool, []relation.Tuple, error) {
+				if d.ID == target {
+					calls++
+					if calls <= tc.fastFails {
+						return false, nil, fmt.Errorf("doc %d: %w", d.ID, ErrBreakerOpen)
+					}
+				}
+				u, ts := labels.Label(d)
+				return u, ts, nil
+			},
+			total: labels.TotalUseful,
+		}
+		rec := &obs.MemRecorder{}
+		res, err := Run(Options{
+			Rel: relation.PH, Coll: coll, Labels: oracle, Sample: docs[:1],
+			Strategy: &scriptedStrategy{}, Recorder: rec,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if calls != 4 || res.Requeued != tc.fastFails {
+			t.Errorf("%d fast-fails: %d labelling calls and %d requeues, want 4 and %d",
+				tc.fastFails, calls, res.Requeued, tc.fastFails)
+		}
+		processed := slices.Contains(res.Order, target)
+		if processed == tc.skipped || slices.Contains(res.Skipped, target) != tc.skipped {
+			t.Errorf("%d fast-fails: doc %d in Order %v, in Skipped %v; want skipped=%v",
+				tc.fastFails, target, res.Order, res.Skipped, tc.skipped)
+		}
+		var reasons, want []string
+		for _, e := range kindEvents(rec, obs.KindDocSkipped) {
+			reasons = append(reasons, e.Name)
+		}
+		if tc.skipped {
+			want = []string{obs.ReasonRequeueLimit}
+		}
+		if !slices.Equal(reasons, want) {
+			t.Errorf("%d fast-fails: skip reasons %q, want %q", tc.fastFails, reasons, want)
+		}
 	}
 }
 

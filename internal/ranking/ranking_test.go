@@ -138,6 +138,32 @@ func TestReservoirBounded(t *testing.T) {
 	}
 }
 
+// TestBAggQueueCap pins BAgg-IE's holdback queue bound: on a stream of
+// useless documents each member's useless queue stops at 2,000 entries
+// and keeps the newest ones (Top-K's twin queues are pinned in
+// internal/update).
+func TestBAggQueueCap(t *testing.T) {
+	b := NewBAggIE(BAggOptions{})
+	members := b.Members()
+	const perMember = 2000 + 37
+	for i := 0; i < perMember*members; i++ {
+		b.Learn(vector.Binary([]int32{int32(i)}), false)
+	}
+	for m := 0; m < members; m++ {
+		q := b.qNeg[m]
+		if len(q) != 2000 || len(b.qPos[m]) != 0 {
+			t.Fatalf("member %d queues hold %d useless and %d useful documents, want 2000 and 0",
+				m, len(q), len(b.qPos[m]))
+		}
+		// Member m is dealt documents m, m+members, m+2·members, ...
+		for j, x := range q {
+			if want := int32((perMember-2000+j)*members + m); x.MaxIndex() != want {
+				t.Fatalf("member %d queue[%d] is document %d, want %d (the newest 2000)", m, j, x.MaxIndex(), want)
+			}
+		}
+	}
+}
+
 func TestReservoirSampleEmpty(t *testing.T) {
 	res := newReservoir(4, 3)
 	if _, ok := res.sample(); ok {

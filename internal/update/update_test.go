@@ -1,6 +1,9 @@
 package update
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
+	"encoding/hex"
 	"math"
 	"math/rand"
 	"slices"
@@ -378,6 +381,47 @@ func TestFeatSCadence(t *testing.T) {
 	}
 	if trigAt < 9 {
 		t.Errorf("Feat-S triggered at doc %d, before the %d-doc cadence", trigAt, 10)
+	}
+}
+
+// TestFeatSDecisionDigest pins Feat-S's one-class model (the kernel's γ,
+// ν and the support budget) as NewFeatS builds it by default: over a
+// fixed stream that drifts to new vocabulary, the decision value f(x) of
+// every document before it is observed, and every fire, hash to a
+// constant. The stream outgrows the 256-vector support budget and fires.
+func TestFeatSDecisionDigest(t *testing.T) {
+	f := NewFeatS(FeatSOptions{})
+	r := rand.New(rand.NewSource(5))
+	doc := func(base int) vector.Sparse {
+		m := map[int32]float64{}
+		for j := 0; j < 6; j++ {
+			m[int32(base+r.Intn(40))]++
+		}
+		return vector.FromCounts(m).Normalize()
+	}
+	var prime []vector.Sparse
+	for i := 0; i < 100; i++ {
+		prime = append(prime, doc(0))
+	}
+	f.Prime(prime)
+	h := sha256.New()
+	fires := 0
+	for i := 0; i < 3500; i++ {
+		x := doc(20 * (i / 700))
+		binary.Write(h, binary.LittleEndian, math.Float64bits(f.model.Decision(x)))
+		fired := f.Observe(x, false)
+		binary.Write(h, binary.LittleEndian, fired)
+		if fired {
+			fires++
+		}
+	}
+	got := hex.EncodeToString(h.Sum(nil))
+	t.Logf("%d fires, %d support vectors: digest %s", fires, f.model.SupportSize(), got)
+	if n := f.model.SupportSize(); n != 256 || fires == 0 {
+		t.Errorf("%d support vectors and %d fires, want the budget of 256 and a fire", n, fires)
+	}
+	if want := "32310f156f8d182c00ac71279915a12bff166caad54b4f03a0d5d0dd728bcc4a"; got != want {
+		t.Errorf("digest = %s, want %s", got, want)
 	}
 }
 
