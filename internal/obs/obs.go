@@ -87,32 +87,6 @@ func (h *Histogram) Count() int64 { return h.count.Load() }
 // Sum returns the sum of all observed values.
 func (h *Histogram) Sum() float64 { return math.Float64frombits(h.sum.Load()) }
 
-// Quantile returns an upper-bound estimate of the q-quantile (q in
-// [0,1]): the bound of the bucket where the cumulative count crosses
-// q*Count. It returns +Inf when the crossing lands in the overflow
-// bucket, and 0 for an empty histogram.
-func (h *Histogram) Quantile(q float64) float64 {
-	total := h.count.Load()
-	if total == 0 {
-		return 0
-	}
-	target := int64(math.Ceil(q * float64(total)))
-	if target < 1 {
-		target = 1
-	}
-	var cum int64
-	for i := range h.counts {
-		cum += h.counts[i].Load()
-		if cum >= target {
-			if i < len(h.bounds) {
-				return h.bounds[i]
-			}
-			return math.Inf(1)
-		}
-	}
-	return math.Inf(1)
-}
-
 // LatencyBuckets returns the default latency bucket bounds in seconds:
 // exponentially doubling from 1µs to ~16.8s (25 buckets). These cover
 // everything from a single sparse dot product to a full re-rank of a

@@ -49,13 +49,18 @@ func TestHistogramBucketsAndQuantiles(t *testing.T) {
 	if math.Abs(h.Sum()-556.2) > 1e-9 {
 		t.Errorf("sum = %g, want 556.2", h.Sum())
 	}
-	if q := h.Quantile(0.5); q != 10 {
+	reg.Histogram("empty", []float64{1})
+	s := reg.Snapshot()
+	if len(s.Histograms) != 2 || s.Histograms[0].Name != "empty" || s.Histograms[1].Name != "h" {
+		t.Fatalf("snapshot histograms: %+v", s.Histograms)
+	}
+	if q := s.Histograms[1].Quantile(0.5); q != 10 {
 		t.Errorf("p50 = %g, want 10 (bucket bound)", q)
 	}
-	if q := h.Quantile(1); !math.IsInf(q, 1) {
+	if q := s.Histograms[1].Quantile(1); !math.IsInf(q, 1) {
 		t.Errorf("p100 = %g, want +Inf (overflow bucket)", q)
 	}
-	if (&Histogram{}).Quantile(0.5) != 0 {
+	if s.Histograms[0].Quantile(0.5) != 0 {
 		t.Error("empty histogram quantile must be 0")
 	}
 	h.ObserveDuration(500 * time.Millisecond)
