@@ -37,6 +37,22 @@ func RecallCurve(labels []bool, totalUseful int) []float64 {
 	return curve
 }
 
+// RankedRecallCurve is the recall curve of a run's ranked phase, which
+// excludes the initial sample: the recall denominator is totalUseful
+// less the sample's useful documents, and a sample that already covered
+// every useful document makes any order of the rest perfect (a curve of
+// ones).
+func RankedRecallCurve(labels []bool, totalUseful, sampleUseful int) []float64 {
+	if denom := totalUseful - sampleUseful; denom > 0 {
+		return RecallCurve(labels, denom)
+	}
+	curve := make([]float64, 101)
+	for i := range curve {
+		curve[i] = 1
+	}
+	return curve
+}
+
 // RecallAt interpolates a recall curve at a percentage in [0,100].
 func RecallAt(curve []float64, pct float64) float64 {
 	if len(curve) == 0 {

@@ -3,6 +3,7 @@ package metrics
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -49,6 +50,21 @@ func TestRecallCurveZeroTotal(t *testing.T) {
 	for _, v := range c {
 		if v != 0 {
 			t.Fatal("zero-total curve must be all zeros")
+		}
+	}
+}
+
+func TestRankedRecallCurve(t *testing.T) {
+	labels := []bool{true, false, true, false}
+	// The sample's useful documents leave the denominator.
+	if got, want := RankedRecallCurve(labels, 6, 2), RecallCurve(labels, 4); !slices.Equal(got, want) {
+		t.Errorf("curve = %v, want %v", got, want)
+	}
+	// A sample that covered every useful document: a curve of ones.
+	for _, sampleUseful := range []int{6, 7} {
+		c := RankedRecallCurve(labels, 6, sampleUseful)
+		if len(c) != 101 || slices.ContainsFunc(c, func(v float64) bool { return v != 1 }) {
+			t.Errorf("sample useful %d of 6: curve = %v, want 101 ones", sampleUseful, c)
 		}
 	}
 }

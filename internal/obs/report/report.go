@@ -64,8 +64,9 @@ type Run struct {
 	// Labels is the ranked-phase usefulness sequence in processing
 	// order — the raw material of every ranking-quality measure.
 	Labels []bool `json:"-"`
-	// Curve is the recall-vs-%processed curve (101 points, mirroring
-	// pipeline.Result.Curve exactly), present when TotalUseful is known.
+	// Curve is the recall-vs-%processed curve (101 points, by
+	// metrics.RankedRecallCurve as pipeline.Result.Curve is), present
+	// when TotalUseful is known.
 	Curve []float64 `json:"curve,omitempty"`
 	// FinalRecall is Curve's endpoint (ranked-phase recall).
 	FinalRecall float64 `json:"final_recall,omitempty"`
@@ -129,17 +130,7 @@ func Parse(events []obs.Event) (*Report, error) {
 			cur.WallClock = time.Duration(lastT - firstT)
 		}
 		if cur.TotalUseful > 0 {
-			// Mirror pipeline.Run's curve semantics: the sample phase is
-			// excluded, and a sample that already covered every useful
-			// document makes any remaining order perfect.
-			if denom := cur.TotalUseful - cur.SampleUseful; denom <= 0 {
-				cur.Curve = make([]float64, 101)
-				for i := range cur.Curve {
-					cur.Curve[i] = 1
-				}
-			} else {
-				cur.Curve = metrics.RecallCurve(cur.Labels, denom)
-			}
+			cur.Curve = metrics.RankedRecallCurve(cur.Labels, cur.TotalUseful, cur.SampleUseful)
 			cur.FinalRecall = cur.Curve[len(cur.Curve)-1]
 		}
 		rep.Runs = append(rep.Runs, *cur)
