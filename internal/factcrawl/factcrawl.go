@@ -21,9 +21,6 @@ import (
 
 // Options configures FactCrawl.
 type Options struct {
-	// Beta weights precision against recall in the query F-measure
-	// (default 1).
-	Beta float64
 	// RetrieveK is the result-list depth that defines "query q retrieves
 	// document d" (default 300, matching the paper's Lucene anecdote).
 	RetrieveK int
@@ -40,10 +37,11 @@ type Options struct {
 	Seed int64
 }
 
+// beta weights precision against recall in the query F-measure: queries
+// are scored by their F1.
+const beta = 1
+
 func (o *Options) defaults() {
-	if o.Beta == 0 {
-		o.Beta = 1
-	}
 	if o.RetrieveK == 0 {
 		o.RetrieveK = 300
 	}
@@ -163,7 +161,7 @@ func (fc *FC) account(d *corpus.Document, useful bool) {
 
 // recompute refreshes per-query F-measures and per-method averages.
 func (fc *FC) recompute() {
-	beta2 := fc.opts.Beta * fc.opts.Beta
+	const beta2 = beta * beta
 	sums := make(map[string]float64)
 	counts := make(map[string]float64)
 	for _, q := range fc.queries {

@@ -29,13 +29,9 @@ type OneClassSVM struct {
 	t     int
 }
 
-// NewOneClassSVM returns an untrained model. The paper's Feat-S setting
-// uses gamma=0.01; nu=0.1 and a budget of 256 are our implementation
-// choices (documented in DESIGN.md).
+// NewOneClassSVM returns an untrained model (Feat-S's setting is in
+// internal/update).
 func NewOneClassSVM(gamma, nu float64, budget int) *OneClassSVM {
-	if budget <= 0 {
-		budget = 256
-	}
 	return &OneClassSVM{Gamma: gamma, Nu: nu, Budget: budget}
 }
 

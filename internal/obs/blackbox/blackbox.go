@@ -38,15 +38,6 @@ type Options struct {
 	// binds to.
 	RunID       string
 	Fingerprint string
-	// RingSize bounds the event ring (drop-oldest). Default 4096.
-	RingSize int
-	// Decisions bounds the detector-decision tail kept alongside the
-	// ring. Default 64.
-	Decisions int
-	// MaxBundles caps automatically triggered bundles per process, so a
-	// fault storm cannot fill the disk; explicit Dump calls are exempt.
-	// Default 8.
-	MaxBundles int
 	// Registry receives the blackbox.* counters and is snapshotted into
 	// each bundle (nil is fine).
 	Registry *obs.Registry
@@ -54,6 +45,16 @@ type Options struct {
 	// real one. Tests inject fault schedules (durable/faultfs) here.
 	FS durable.FS
 }
+
+// The recorder's bounds. ringSize bounds the event ring (drop-oldest),
+// and keptDecisions the detector-decision tail kept alongside it.
+// maxBundles caps automatically triggered bundles per process, so a
+// fault storm cannot fill the disk; explicit Dump calls are exempt.
+const (
+	ringSize      = 4096
+	keptDecisions = 64
+	maxBundles    = 8
+)
 
 type spanInfo struct {
 	ID     int64  `json:"id"`
@@ -94,22 +95,13 @@ func New(opts Options) (*Ring, error) {
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, err
 	}
-	if opts.RingSize <= 0 {
-		opts.RingSize = 4096
-	}
-	if opts.Decisions <= 0 {
-		opts.Decisions = 64
-	}
-	if opts.MaxBundles <= 0 {
-		opts.MaxBundles = 8
-	}
 	return &Ring{
 		opts:     opts,
 		cEvents:  opts.Registry.Counter(obs.MetricBlackboxEvents),
 		cDropped: opts.Registry.Counter(obs.MetricBlackboxEventsDropped),
 		cDumps:   opts.Registry.Counter(obs.MetricBlackboxDumps),
 		cErrs:    opts.Registry.Counter(obs.MetricBlackboxDumpErrors),
-		buf:      make([]obs.Event, 0, opts.RingSize),
+		buf:      make([]obs.Event, 0, ringSize),
 		spans:    map[int64]spanInfo{},
 	}, nil
 }
@@ -146,12 +138,12 @@ func (r *Ring) Record(e obs.Event) {
 		delete(r.spans, e.Span)
 	case obs.KindDetectorDecision:
 		r.decisions = append(r.decisions, e)
-		if len(r.decisions) > r.opts.Decisions {
+		if len(r.decisions) > keptDecisions {
 			r.decisions = r.decisions[1:]
 		}
 	}
 	reason := triggerReason(e)
-	budget := reason != "" && r.autoDumps < r.opts.MaxBundles
+	budget := reason != "" && r.autoDumps < maxBundles
 	if budget {
 		r.autoDumps++
 	}

@@ -25,18 +25,18 @@ func newRing(t *testing.T, opts Options) *Ring {
 }
 
 func TestRingDropOldestBounds(t *testing.T) {
-	r := newRing(t, Options{RingSize: 8})
-	for i := 0; i < 20; i++ {
+	r := newRing(t, Options{})
+	for i := 0; i < ringSize+12; i++ {
 		r.Record(obs.Event{Kind: obs.KindDocExtracted, Doc: int64(i)})
 	}
 	s := r.snapshot()
-	if len(s.events) != 8 {
-		t.Fatalf("ring holds %d events, want 8", len(s.events))
+	if len(s.events) != ringSize {
+		t.Fatalf("ring holds %d events, want %d", len(s.events), ringSize)
 	}
-	if s.total != 20 || s.dropped != 12 {
-		t.Errorf("total=%d dropped=%d, want 20/12", s.total, s.dropped)
+	if s.total != ringSize+12 || s.dropped != 12 {
+		t.Errorf("total=%d dropped=%d, want %d/12", s.total, s.dropped, ringSize+12)
 	}
-	// Oldest first: docs 12..19, self-stamped seq 13..20.
+	// Oldest first: docs 12..ringSize+11, self-stamped seq 13..ringSize+12.
 	for i, e := range s.events {
 		if e.Doc != int64(12+i) || e.Seq != int64(13+i) {
 			t.Fatalf("event %d: doc=%d seq=%d, want doc=%d seq=%d", i, e.Doc, e.Seq, 12+i, 13+i)
@@ -58,19 +58,19 @@ func TestStampedEventsPassThrough(t *testing.T) {
 }
 
 func TestSpanAndDecisionTracking(t *testing.T) {
-	r := newRing(t, Options{Decisions: 2})
+	r := newRing(t, Options{})
 	r.Record(obs.Event{Kind: obs.KindSpanStart, Name: obs.SpanRun, Span: 1})
 	r.Record(obs.Event{Kind: obs.KindSpanStart, Name: obs.SpanRank, Span: 2, Parent: 1})
 	r.Record(obs.Event{Kind: obs.KindSpanEnd, Name: obs.SpanRank, Span: 2, Parent: 1})
 	r.Record(obs.Event{Kind: obs.KindSpanStart, Name: obs.SpanBatch, Span: 3, Parent: 1})
-	for i := 1; i <= 3; i++ {
+	for i := 1; i <= keptDecisions+1; i++ {
 		r.Record(obs.Event{Kind: obs.KindDetectorDecision, Name: "modc", Val: float64(i)})
 	}
 	st := r.State()
 	if len(st.Spans) != 2 || st.Spans[0].Name != obs.SpanRun || st.Spans[1].Name != obs.SpanBatch {
 		t.Errorf("active spans: %+v", st.Spans)
 	}
-	if len(st.Decisions) != 2 || st.Decisions[0].Val != 2 || st.Decisions[1].Val != 3 {
+	if n := len(st.Decisions); n != keptDecisions || st.Decisions[0].Val != 2 || st.Decisions[n-1].Val != keptDecisions+1 {
 		t.Errorf("decision tail: %+v", st.Decisions)
 	}
 }
@@ -181,34 +181,34 @@ func TestWorkerPanicDumpsBundle(t *testing.T) {
 
 func TestAutoDumpBudget(t *testing.T) {
 	dir := t.TempDir()
-	r := newRing(t, Options{Dir: dir, MaxBundles: 2})
-	for i := 0; i < 5; i++ {
+	r := newRing(t, Options{Dir: dir})
+	for i := 0; i < maxBundles+3; i++ {
 		r.Record(obs.Event{Kind: obs.KindWorkerPanic, Name: obs.PanicSiteScore, Doc: int64(i)})
 	}
 	bundles, _ := Bundles(dir)
-	if len(bundles) != 2 {
-		t.Fatalf("auto dumps = %d, want 2 (budget)", len(bundles))
+	if len(bundles) != maxBundles {
+		t.Fatalf("auto dumps = %d, want %d (budget)", len(bundles), maxBundles)
 	}
 	// Manual dumps are exempt from the budget.
 	if _, err := r.Dump(obs.DumpReasonSignal); err != nil {
 		t.Fatalf("manual Dump: %v", err)
 	}
 	bundles, _ = Bundles(dir)
-	if len(bundles) != 3 {
-		t.Fatalf("after manual dump: %d bundles, want 3", len(bundles))
+	if len(bundles) != maxBundles+1 {
+		t.Fatalf("after manual dump: %d bundles, want %d", len(bundles), maxBundles+1)
 	}
-	if !strings.Contains(bundles[2], obs.DumpReasonSignal) {
-		t.Errorf("manual bundle name: %q", bundles[2])
+	if !strings.Contains(bundles[maxBundles], obs.DumpReasonSignal) {
+		t.Errorf("manual bundle name: %q", bundles[maxBundles])
 	}
 }
 
 // TestConcurrentRecordAndDump is the -race coverage for the ring:
-// writers hammer Record (including span churn) while another goroutine
-// repeatedly dumps.
+// writers hammer Record (including span churn), overflowing the ring,
+// while another goroutine repeatedly dumps.
 func TestConcurrentRecordAndDump(t *testing.T) {
 	dir := t.TempDir()
-	r := newRing(t, Options{Dir: dir, RingSize: 64, MaxBundles: 1})
-	const writers, perWriter = 8, 200
+	r := newRing(t, Options{Dir: dir})
+	const writers, perWriter = 8, ringSize/8 + 64
 	var wg sync.WaitGroup
 	for w := 0; w < writers; w++ {
 		wg.Add(1)
@@ -244,8 +244,8 @@ func TestConcurrentRecordAndDump(t *testing.T) {
 	if s.total != writers*perWriter {
 		t.Errorf("total = %d, want %d", s.total, writers*perWriter)
 	}
-	if len(s.events) != 64 {
-		t.Errorf("ring len = %d, want 64", len(s.events))
+	if len(s.events) != ringSize {
+		t.Errorf("ring len = %d, want %d", len(s.events), ringSize)
 	}
 	bundles, _ := Bundles(dir)
 	if len(bundles) != 10 {

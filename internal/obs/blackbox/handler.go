@@ -32,7 +32,7 @@ func (r *Ring) State() State {
 	return State{
 		RunID:     r.opts.RunID,
 		RingLen:   len(s.events),
-		RingCap:   r.opts.RingSize,
+		RingCap:   ringSize,
 		Events:    s.total,
 		Dropped:   s.dropped,
 		Spans:     s.spans,

@@ -47,20 +47,23 @@ type Options struct {
 	// real one. Tests inject fault schedules (durable/faultfs) here.
 	FS durable.FS
 
-	// TopFeatures bounds the top-weight and top-mover lists on each
-	// snapshot (default 15).
-	TopFeatures int
 	// AttribTopN is how many top-ranked documents the pipeline
 	// attributes per ranking pass (default 8). The Explainer only
 	// carries the knob; the pipeline applies it.
 	AttribTopN int
-
-	// Live-state bounds for the HTTP handler; the log keeps everything.
-	// Defaults: 512 snapshots, 512 attributions, 2048 decisions.
-	KeepSnapshots    int
-	KeepAttributions int
-	KeepDecisions    int
 }
+
+// topFeatures bounds the top-weight and top-mover lists on each
+// snapshot.
+const topFeatures = 15
+
+// Live-state bounds for the HTTP handler: the newest records of each
+// kind it serves. The log keeps everything.
+const (
+	keepSnapshots    = 512
+	keepAttributions = 512
+	keepDecisions    = 2048
+)
 
 // Explainer owns one run's introspection state: the JSONL log and the
 // bounded live views behind Handler. All methods are safe for
@@ -99,20 +102,8 @@ func New(opts Options) (*Explainer, error) {
 	if opts.RunID == "" {
 		opts.RunID = "run"
 	}
-	if opts.TopFeatures <= 0 {
-		opts.TopFeatures = 15
-	}
 	if opts.AttribTopN <= 0 {
 		opts.AttribTopN = 8
-	}
-	if opts.KeepSnapshots <= 0 {
-		opts.KeepSnapshots = 512
-	}
-	if opts.KeepAttributions <= 0 {
-		opts.KeepAttributions = 512
-	}
-	if opts.KeepDecisions <= 0 {
-		opts.KeepDecisions = 2048
 	}
 	if err := os.MkdirAll(opts.Dir, 0o755); err != nil {
 		return nil, fmt.Errorf("explain: %w", err)
@@ -198,7 +189,7 @@ func (e *Explainer) recordDecision(ev obs.Event) {
 	}
 	e.append(r)
 	e.mu.Lock()
-	e.decisions = appendBounded(e.decisions, r, e.opts.KeepDecisions)
+	e.decisions = appendBounded(e.decisions, r, keepDecisions)
 	e.mu.Unlock()
 	e.cDecs.Inc()
 }
@@ -246,14 +237,14 @@ func (e *Explainer) RecordSnapshot(stage string, span int64, pos int, w *vector.
 		NNZ:     cur.NNZ(),
 		L1:      cur.L1(),
 		L2:      cur.L2(),
-		Top:     toFeatures(cur.TopK(e.opts.TopFeatures), name),
+		Top:     toFeatures(cur.TopK(topFeatures), name),
 		Added:   added,
 		Removed: removed,
 	}
 	if prev != nil {
 		d := vector.Drift(prev, cur)
 		r.DriftPrev = &d
-		r.Movers = toFeatures(vector.TopMovers(prev, cur, e.opts.TopFeatures), name)
+		r.Movers = toFeatures(vector.TopMovers(prev, cur, topFeatures), name)
 	}
 	if init != nil {
 		d := vector.Drift(init, cur)
@@ -261,7 +252,7 @@ func (e *Explainer) RecordSnapshot(stage string, span int64, pos int, w *vector.
 	}
 	e.append(r)
 	e.mu.Lock()
-	e.snapshots = appendBounded(e.snapshots, r, e.opts.KeepSnapshots)
+	e.snapshots = appendBounded(e.snapshots, r, keepSnapshots)
 	e.mu.Unlock()
 	e.cSnaps.Inc()
 }
@@ -277,7 +268,7 @@ func (e *Explainer) RecordAttribution(r Record) {
 	r.Kind = RecordAttribution
 	e.append(r)
 	e.mu.Lock()
-	e.attribs = appendBounded(e.attribs, r, e.opts.KeepAttributions)
+	e.attribs = appendBounded(e.attribs, r, keepAttributions)
 	e.mu.Unlock()
 	e.cAttribs.Inc()
 }
@@ -292,7 +283,7 @@ func (e *Explainer) append(r Record) {
 }
 
 // State reports the live record counts (snapshots, attributions,
-// decisions) — retained, i.e. after the Keep bounds; used by tests and
+// decisions) — retained, i.e. after the keep bounds; used by tests and
 // the HTTP root.
 func (e *Explainer) State() (snapshots, attributions, decisions int) {
 	if e == nil {
@@ -300,8 +291,8 @@ func (e *Explainer) State() (snapshots, attributions, decisions int) {
 	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	return len(newest(e.snapshots, e.opts.KeepSnapshots)), len(newest(e.attribs, e.opts.KeepAttributions)),
-		len(newest(e.decisions, e.opts.KeepDecisions))
+	return len(newest(e.snapshots, keepSnapshots)), len(newest(e.attribs, keepAttributions)),
+		len(newest(e.decisions, keepDecisions))
 }
 
 // Close flushes and fsyncs the log. Idempotent; returns the first

@@ -248,20 +248,21 @@ func TestExplainerTimelineReset(t *testing.T) {
 }
 
 func TestExplainerBounds(t *testing.T) {
-	e, _ := newTestExplainer(t, Options{KeepDecisions: 3})
+	e, _ := newTestExplainer(t, Options{})
 	rec := e.Recorder()
-	for i := 0; i < 10; i++ {
+	const n = keepDecisions + 1
+	for i := 0; i < n; i++ {
 		rec.Record(obs.Event{Kind: obs.KindDetectorDecision, Name: "Wind-F",
-			Val: float64(i), Fired: i == 9})
+			Val: float64(i), Fired: i == n-1})
 	}
 	_, _, decs := e.State()
-	if decs != 3 {
-		t.Fatalf("retained decisions = %d, want 3", decs)
+	if decs != keepDecisions {
+		t.Fatalf("retained decisions = %d, want %d", decs, keepDecisions)
 	}
 	e.mu.Lock()
 	last := e.decisions[len(e.decisions)-1]
 	e.mu.Unlock()
-	if last.Val != 9 || !last.Fired {
+	if last.Val != n-1 || !last.Fired {
 		t.Fatalf("retention must keep the newest records: %+v", last)
 	}
 	if err := e.Close(); err != nil {

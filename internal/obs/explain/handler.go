@@ -73,7 +73,7 @@ func (e *Explainer) serveWeights(w http.ResponseWriter) {
 
 func (e *Explainer) serveDrift(w http.ResponseWriter) {
 	e.mu.Lock()
-	snaps := newest(e.snapshots, e.opts.KeepSnapshots)
+	snaps := newest(e.snapshots, keepSnapshots)
 	out := make([]Record, len(snaps))
 	copy(out, snaps)
 	e.mu.Unlock()
@@ -92,7 +92,7 @@ func (e *Explainer) serveDecisions(w http.ResponseWriter, r *http.Request) {
 		limit = n
 	}
 	e.mu.Lock()
-	decs := newest(e.decisions, e.opts.KeepDecisions)
+	decs := newest(e.decisions, keepDecisions)
 	out := make([]Record, 0, len(decs))
 	for _, d := range decs {
 		if firedOnly && !d.Fired {
@@ -110,7 +110,7 @@ func (e *Explainer) serveDecisions(w http.ResponseWriter, r *http.Request) {
 func (e *Explainer) serveExplain(w http.ResponseWriter, r *http.Request) {
 	docParam := r.URL.Query().Get("doc")
 	e.mu.Lock()
-	attribs := newest(e.attribs, e.opts.KeepAttributions)
+	attribs := newest(e.attribs, keepAttributions)
 	out := make([]Record, len(attribs))
 	copy(out, attribs)
 	e.mu.Unlock()

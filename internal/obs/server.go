@@ -302,7 +302,7 @@ func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	}
 	s.sse.Add(1)
 	defer s.sse.Done()
-	ch, cancel := s.opts.Stream.Subscribe(1024)
+	ch, cancel := s.opts.Stream.Subscribe()
 	defer cancel()
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")

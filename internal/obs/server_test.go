@@ -15,7 +15,7 @@ import (
 func testServer(t *testing.T) (*Server, *Registry, *StreamRecorder, *RunTracker) {
 	t.Helper()
 	reg := NewRegistry()
-	stream := NewStreamRecorder(64)
+	stream := NewStreamRecorder()
 	runs := &RunTracker{}
 	return NewServer(ServerOptions{Registry: reg, Stream: stream, Runs: runs}), reg, stream, runs
 }
@@ -265,7 +265,7 @@ func TestServerShutdownLeaksNoGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
 
 	reg := NewRegistry()
-	stream := NewStreamRecorder(16)
+	stream := NewStreamRecorder()
 	srv := NewServer(ServerOptions{Registry: reg, Stream: stream, RuntimeInterval: time.Millisecond})
 	addr, err := srv.Start("127.0.0.1:0")
 	if err != nil {

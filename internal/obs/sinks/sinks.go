@@ -120,7 +120,7 @@ func Open(ctx context.Context, f Flags, runID, fingerprint string, notices io.Wr
 	var stream *obs.StreamRecorder
 	var runs *obs.RunTracker
 	if f.Serve != "" {
-		stream, runs = obs.NewStreamRecorder(0), &obs.RunTracker{}
+		stream, runs = obs.NewStreamRecorder(), &obs.RunTracker{}
 		tee = append(tee, stream, runs)
 	}
 	if f.Blackbox != "" {

@@ -9,7 +9,7 @@ import (
 func TestTeeAssignsOneNumbering(t *testing.T) {
 	mem1 := &MemRecorder{}
 	mem2 := &MemRecorder{}
-	stream := NewStreamRecorder(16)
+	stream := NewStreamRecorder()
 	tee := Tee(mem1, Nop(), mem2, stream, nil)
 	if !tee.Enabled() {
 		t.Fatal("tee with enabled sinks must be enabled")
@@ -46,13 +46,13 @@ func TestTeeDegenerateCases(t *testing.T) {
 }
 
 func TestStreamRingDropOldest(t *testing.T) {
-	s := NewStreamRecorder(4)
-	for i := 1; i <= 10; i++ {
+	s := NewStreamRecorder()
+	for i := 1; i <= streamCapacity+6; i++ {
 		s.Record(Event{Kind: KindDocExtracted, Doc: int64(i)})
 	}
 	got := s.Events()
-	if len(got) != 4 {
-		t.Fatalf("ring length = %d, want 4", len(got))
+	if len(got) != streamCapacity {
+		t.Fatalf("ring length = %d, want %d", len(got), streamCapacity)
 	}
 	for i, e := range got {
 		if want := int64(7 + i); e.Doc != want || e.Seq != want {
@@ -64,13 +64,15 @@ func TestStreamRingDropOldest(t *testing.T) {
 // TestStreamSubscribeReplaysInSeqOrder drives a stream from several
 // concurrent writers while a subscriber joins mid-stream; the
 // subscriber must see the ring replay followed by live events, all in
-// strictly increasing Seq order. Run with -race.
+// strictly increasing Seq order. The events fill the subscriber's
+// backlog exactly, since it drains only after the writers finish. Run
+// with -race.
 func TestStreamSubscribeReplaysInSeqOrder(t *testing.T) {
 	const (
 		writers  = 8
-		perWrite = 200
+		perWrite = subscribeBacklog / writers
 	)
-	s := NewStreamRecorder(writers * perWrite)
+	s := NewStreamRecorder()
 	var wg sync.WaitGroup
 	start := make(chan struct{})
 	for w := 0; w < writers; w++ {
@@ -87,7 +89,7 @@ func TestStreamSubscribeReplaysInSeqOrder(t *testing.T) {
 
 	// Subscribe while writers are racing: the replay prefix and the live
 	// suffix must form one strictly increasing Seq sequence.
-	ch, cancel := s.Subscribe(writers * perWrite)
+	ch, cancel := s.Subscribe()
 	defer cancel()
 	wg.Wait()
 
@@ -116,14 +118,15 @@ func TestStreamSubscribeReplaysInSeqOrder(t *testing.T) {
 // subscriber that never drains loses oldest events but Record returns
 // promptly, and the events it does eventually read are still in order.
 func TestStreamSlowSubscriberNeverBlocks(t *testing.T) {
-	s := NewStreamRecorder(8)
-	ch, cancel := s.Subscribe(4)
+	const total = 4 * subscribeBacklog
+	s := NewStreamRecorder()
+	ch, cancel := s.Subscribe()
 	defer cancel()
 
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		for i := 1; i <= 1000; i++ {
+		for i := 1; i <= total; i++ {
 			s.Record(Event{Kind: KindDocExtracted, Doc: int64(i)})
 		}
 	}()
@@ -147,7 +150,7 @@ func TestStreamSlowSubscriberNeverBlocks(t *testing.T) {
 			if n == 0 {
 				t.Fatal("slow subscriber received nothing")
 			}
-			if prev != 1000 {
+			if prev != total {
 				t.Errorf("drop-oldest must keep the newest event; last seq = %d", prev)
 			}
 			return
@@ -156,9 +159,9 @@ func TestStreamSlowSubscriberNeverBlocks(t *testing.T) {
 }
 
 func TestStreamSubscribeCancelIdempotent(t *testing.T) {
-	s := NewStreamRecorder(4)
+	s := NewStreamRecorder()
 	s.Record(Event{Kind: KindRunStarted})
-	ch, cancel := s.Subscribe(2)
+	ch, cancel := s.Subscribe()
 	if s.Subscribers() != 1 {
 		t.Fatalf("subscribers = %d, want 1", s.Subscribers())
 	}

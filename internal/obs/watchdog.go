@@ -33,7 +33,9 @@ type Alert struct {
 // WatchdogOptions configures the SLO rules. A zero threshold disables
 // its rule; zero windows take the listed defaults. Each rule only
 // evaluates once its window is full, so a run shorter than the window
-// never alerts.
+// never alerts. After an alert a rule stays quiet for as many ranked
+// documents as its window holds, so a sustained violation cannot flood
+// the stream.
 type WatchdogOptions struct {
 	// MinRecallSlope is the floor on useful-docs-per-document over the
 	// trailing RecallWindow ranked documents (0 disables).
@@ -56,10 +58,6 @@ type WatchdogOptions struct {
 	// FaultWindow is the fault-rate window in attempt outcomes
 	// (default 100).
 	FaultWindow int
-	// Cooldown is the minimum number of ranked documents between two
-	// alerts of the same rule (default: the rule's window), preventing
-	// a sustained violation from flooding the stream.
-	Cooldown int
 }
 
 func (o *WatchdogOptions) defaults() {
@@ -267,13 +265,10 @@ func (w *Watchdog) checkFaultRate() *Alert {
 			rate*100, len(w.faults), w.opts.MaxFaultRate*100))
 }
 
-// alert records the violation unless the rule is still cooling down.
+// alert records the violation unless the rule is still cooling down:
+// fewer than window ranked documents since its last alert.
 func (w *Watchdog) alert(rule string, value, threshold float64, window int, msg string) *Alert {
-	cool := w.opts.Cooldown
-	if cool <= 0 {
-		cool = window
-	}
-	if last, ok := w.lastAlert[rule]; ok && w.docs-last < cool {
+	if last, ok := w.lastAlert[rule]; ok && w.docs-last < window {
 		return nil
 	}
 	w.lastAlert[rule] = w.docs

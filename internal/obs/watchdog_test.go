@@ -104,17 +104,17 @@ func TestWatchdogLatencyRule(t *testing.T) {
 }
 
 func TestWatchdogCooldown(t *testing.T) {
-	w := Watch(&MemRecorder{}, WatchdogOptions{MinRecallSlope: 0.5, RecallWindow: 4, Cooldown: 6})
+	w := Watch(&MemRecorder{}, WatchdogOptions{MinRecallSlope: 0.5, RecallWindow: 4})
 	w.Record(Event{Kind: KindRunStarted})
 	feedDocs(w, 12, false, 0)
-	// Violations at docs 4..12, but after the doc-4 alert the rule cools
-	// down for 6 docs: next eligible at doc 10.
+	// Violations at docs 4..12, but after each alert the rule cools down
+	// for its 4-doc window: next eligible at docs 8 and 12.
 	alerts := w.Alerts()
-	if len(alerts) != 2 {
-		t.Fatalf("alerts = %d, want 2 (cooldown must suppress the rest)", len(alerts))
+	if len(alerts) != 3 {
+		t.Fatalf("alerts = %d, want 3 (cooldown must suppress the rest)", len(alerts))
 	}
-	if alerts[0].Docs != 4 || alerts[1].Docs != 10 {
-		t.Errorf("alert positions = %d,%d, want 4,10", alerts[0].Docs, alerts[1].Docs)
+	if alerts[0].Docs != 4 || alerts[1].Docs != 8 || alerts[2].Docs != 12 {
+		t.Errorf("alert positions = %d,%d,%d, want 4,8,12", alerts[0].Docs, alerts[1].Docs, alerts[2].Docs)
 	}
 }
 

@@ -68,11 +68,9 @@ type ResilientOptions struct {
 	AttemptTimeout time.Duration
 	// BaseBackoff is the delay before the second attempt; each further
 	// retry doubles it, capped at MaxBackoff, with ±50% deterministic
-	// jitter from JitterSeed. Defaults: 5ms base, 500ms cap.
+	// jitter from jitterSeed. Defaults: 5ms base, 500ms cap.
 	BaseBackoff time.Duration
 	MaxBackoff  time.Duration
-	// JitterSeed seeds the backoff jitter (default 1).
-	JitterSeed int64
 	// BreakerThreshold is the number of consecutive failed attempts that
 	// opens the circuit breaker (default 8; <0 disables the breaker).
 	// While open, labelling calls fail fast with ErrBreakerOpen instead
@@ -102,9 +100,6 @@ func (o *ResilientOptions) defaults() {
 	if o.MaxBackoff <= 0 {
 		o.MaxBackoff = 500 * time.Millisecond
 	}
-	if o.JitterSeed == 0 {
-		o.JitterSeed = 1
-	}
 	if o.BreakerThreshold == 0 {
 		o.BreakerThreshold = 8
 	}
@@ -115,6 +110,9 @@ func (o *ResilientOptions) defaults() {
 		o.Sleep = time.Sleep
 	}
 }
+
+// jitterSeed seeds the backoff jitter.
+const jitterSeed = 1
 
 // Breaker states.
 const (
@@ -156,7 +154,7 @@ func NewResilient(inner Oracle, opts ResilientOptions) *Resilient {
 	opts.defaults()
 	r := &Resilient{
 		inner: inner, opts: opts,
-		rng: rand.New(rand.NewSource(opts.JitterSeed)),
+		rng: rand.New(rand.NewSource(jitterSeed)),
 	}
 	r.Instrument(nil, obs.Nop(), nil)
 	return r
@@ -294,7 +292,7 @@ func (r *Resilient) backoff(attempt int) time.Duration {
 	if d > r.opts.MaxBackoff || d <= 0 {
 		d = r.opts.MaxBackoff
 	}
-	// ±50% jitter: [d/2, d), deterministic from JitterSeed.
+	// ±50% jitter: [d/2, d), deterministic from jitterSeed.
 	r.mu.Lock()
 	j := r.rng.Int63n(int64(d)/2 + 1)
 	r.mu.Unlock()

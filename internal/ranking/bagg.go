@@ -19,7 +19,6 @@ type BAggIE struct {
 	qPos    [][]vector.Sparse
 	qNeg    [][]vector.Sparse
 	next    int
-	qCap    int
 
 	// Observability instruments, nil until Instrument is called.
 	obsLearn *obs.Histogram
@@ -36,11 +35,12 @@ type BAggOptions struct {
 	LambdaAll, LambdaL2 float64
 	// Members is the committee size (default 3 per Section 3.1).
 	Members int
-	// QueueCap bounds each member's per-label holdback queue
-	// (default 2000; for sparse relations the useless queue would
-	// otherwise grow without bound).
-	QueueCap int
 }
+
+// baggQueueCap bounds each member's per-label holdback queue, which
+// keeps its newest entries: for sparse relations the useless queue would
+// otherwise grow without bound.
+const baggQueueCap = 2000
 
 func (o *BAggOptions) defaults() {
 	if o.LambdaAll == 0 {
@@ -52,9 +52,6 @@ func (o *BAggOptions) defaults() {
 	if o.Members == 0 {
 		o.Members = 3
 	}
-	if o.QueueCap == 0 {
-		o.QueueCap = 2000
-	}
 }
 
 // NewBAggIE builds an untrained BAgg-IE ranker.
@@ -64,7 +61,6 @@ func NewBAggIE(opts BAggOptions) *BAggIE {
 		members: make([]*learn.OnlineSVM, opts.Members),
 		qPos:    make([][]vector.Sparse, opts.Members),
 		qNeg:    make([][]vector.Sparse, opts.Members),
-		qCap:    opts.QueueCap,
 	}
 	for i := range b.members {
 		b.members[i] = learn.NewOnlineSVM(
@@ -114,9 +110,9 @@ func (b *BAggIE) learn(x vector.Sparse, useful bool) {
 	m := b.next
 	b.next = (b.next + 1) % len(b.members)
 	if useful {
-		b.qPos[m] = appendCapped(b.qPos[m], x, b.qCap)
+		b.qPos[m] = appendCapped(b.qPos[m], x)
 	} else {
-		b.qNeg[m] = appendCapped(b.qNeg[m], x, b.qCap)
+		b.qNeg[m] = appendCapped(b.qNeg[m], x)
 	}
 	// Feed the member one positive and one negative whenever both are
 	// available, keeping its training stream label-balanced.
@@ -129,9 +125,9 @@ func (b *BAggIE) learn(x vector.Sparse, useful bool) {
 	}
 }
 
-func appendCapped(q []vector.Sparse, x vector.Sparse, cap int) []vector.Sparse {
+func appendCapped(q []vector.Sparse, x vector.Sparse) []vector.Sparse {
 	q = append(q, x)
-	if len(q) > cap {
+	if len(q) > baggQueueCap {
 		q = q[1:]
 	}
 	return q
@@ -172,7 +168,6 @@ func (b *BAggIE) Clone() Ranker {
 		qPos:    make([][]vector.Sparse, len(b.members)),
 		qNeg:    make([][]vector.Sparse, len(b.members)),
 		next:    b.next,
-		qCap:    b.qCap,
 	}
 	for i := range b.members {
 		c.members[i] = b.members[i].Clone()

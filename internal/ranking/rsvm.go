@@ -39,11 +39,13 @@ type RSVMOptions struct {
 	// PairsPerExample is the number of stochastic pairs formed per
 	// incoming labelled document (default 4).
 	PairsPerExample int
-	// ReservoirSize bounds the per-label document reservoirs (default 400).
-	ReservoirSize int
 	// Seed drives pair sampling.
 	Seed int64
 }
+
+// reservoirSize bounds the per-label document reservoirs pairs are
+// sampled from.
+const reservoirSize = 400
 
 func (o *RSVMOptions) defaults() {
 	if o.LambdaAll == 0 {
@@ -55,9 +57,6 @@ func (o *RSVMOptions) defaults() {
 	if o.PairsPerExample == 0 {
 		o.PairsPerExample = 4
 	}
-	if o.ReservoirSize == 0 {
-		o.ReservoirSize = 400
-	}
 }
 
 // NewRSVMIE builds an untrained RSVM-IE ranker.
@@ -65,8 +64,8 @@ func NewRSVMIE(opts RSVMOptions) *RSVMIE {
 	opts.defaults()
 	return &RSVMIE{
 		model:   learn.NewOnlineSVM(learn.ElasticNet{LambdaAll: opts.LambdaAll, LambdaL2: opts.LambdaL2}, false),
-		useful:  newReservoir(opts.ReservoirSize, opts.Seed*2+1),
-		useless: newReservoir(opts.ReservoirSize, opts.Seed*2+2),
+		useful:  newReservoir(reservoirSize, opts.Seed*2+1),
+		useless: newReservoir(reservoirSize, opts.Seed*2+2),
 		pairs:   opts.PairsPerExample,
 		rng:     rand.New(rand.NewSource(opts.Seed)),
 	}

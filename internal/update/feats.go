@@ -32,24 +32,24 @@ type FeatS struct {
 	tr       *obs.Tracer
 }
 
-// FeatSOptions configures the detector; zero fields take Section 4
-// defaults (Gaussian gamma = 0.01, tau = 0.55, check every 700 documents).
+// FeatSOptions configures the detector; zero fields take the defaults
+// (tau = 0.15, see FeatS.Tau; check every 700 documents as in Section 4).
 type FeatSOptions struct {
-	Gamma      float64
-	Nu         float64
-	Budget     int
 	Tau        float64
 	CheckEvery int
 }
 
+// The one-class model's Gaussian kernel bandwidth (Section 4's
+// gamma = 0.01), its outlier fraction nu and its support budget; nu and
+// the budget are implementation choices (DESIGN.md §5).
+const (
+	featsGamma  = 0.01
+	featsNu     = 0.1
+	featsBudget = 256
+)
+
 // NewFeatS builds the detector.
 func NewFeatS(opts FeatSOptions) *FeatS {
-	if opts.Gamma == 0 {
-		opts.Gamma = 0.01
-	}
-	if opts.Nu == 0 {
-		opts.Nu = 0.1
-	}
 	if opts.Tau == 0 {
 		opts.Tau = 0.15
 	}
@@ -59,7 +59,7 @@ func NewFeatS(opts FeatSOptions) *FeatS {
 	return &FeatS{
 		Tau:        opts.Tau,
 		CheckEvery: opts.CheckEvery,
-		model:      learn.NewOneClassSVM(opts.Gamma, opts.Nu, opts.Budget),
+		model:      learn.NewOneClassSVM(featsGamma, featsNu, featsBudget),
 	}
 }
 
