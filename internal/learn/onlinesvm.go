@@ -31,8 +31,8 @@ func (e ElasticNet) L1Coeff() float64 { return e.LambdaAll * (1 - e.LambdaL2) }
 // sub-gradient steps on the hinge loss followed by a proximal elastic-net
 // shrinkage. The L1 component clips small weights to exactly zero, so the
 // model stays sparse as the feature space grows — the in-training feature
-// selection of Section 3.1. With UseBias=false and difference vectors as
-// inputs it is the RSVM-IE pair learner; with UseBias=true it is a BAgg-IE
+// selection of Section 3.1. With UseBias=false and StepPair it is the
+// RSVM-IE pair learner; with UseBias=true and Step it is a BAgg-IE
 // committee member and the Top-K side classifier.
 //
 // The shrinkage is lazy (vector.Weights.Prox): a step costs O(features
@@ -46,8 +46,6 @@ type OnlineSVM struct {
 	w    *vector.Weights
 	bias float64
 	t    int // gradient steps taken
-
-	diff vector.Sparse // StepPair's reused difference buffer; never shared
 }
 
 // NewOnlineSVM returns an untrained model.
@@ -56,8 +54,7 @@ func NewOnlineSVM(reg ElasticNet, useBias bool) *OnlineSVM {
 }
 
 // Clone returns a deep copy (used by the Mod-C shadow model) in settled
-// form (see vector.Weights.Clone). The copy starts with an empty
-// difference buffer of its own.
+// form (see vector.Weights.Clone).
 func (m *OnlineSVM) Clone() *OnlineSVM {
 	return &OnlineSVM{Reg: m.Reg, UseBias: m.UseBias, w: m.w.Clone(), bias: m.bias, t: m.t}
 }
@@ -91,11 +88,43 @@ func (m *OnlineSVM) Prob(x vector.Packed) float64 {
 }
 
 // Step performs one online update on example x with label y in {-1,+1}:
-// a Pegasos gradient step on the hinge loss with learning rate
-// eta_t = 1/(lambda*t), followed by the proximal elastic-net shrinkage
-// that decays all weights (L2) and clips them toward zero (L1). The hinge
-// test's margin pass also collects the penalties x's weights owe.
+// a Pegasos gradient step on the hinge loss, its learning rate from
+// rate, followed by the proximal elastic-net shrinkage. The hinge test's
+// margin pass also collects the penalties x's weights owe.
 func (m *OnlineSVM) Step(x vector.Sparse, y float64) {
+	eta := m.rate()
+	if y*m.w.CatchUp(x.Packed(), m.bias) < 1 { // hinge sub-gradient
+		m.w.AddSparse(eta*y, x)
+		if m.UseBias {
+			m.bias += eta * y
+		}
+	}
+	m.shrink(eta)
+}
+
+// StepPair performs one stochastic pairwise descent update (RSVM-IE,
+// Section 3.1): Step on the difference useful − useless with label +1.
+// The margin and the sub-gradient are linear in the pair, so no
+// difference is built: the margin is one CatchUp fold per row, each
+// paying what its row's weights owe, and the sub-gradient is one
+// AddSparse per row. That is Step's update in exact arithmetic; in
+// floating point the margin and the weights of features both rows carry
+// round differently.
+func (m *OnlineSVM) StepPair(useful, useless vector.Sparse) {
+	eta := m.rate()
+	if m.w.CatchUp(useful.Packed(), m.bias)-m.w.CatchUp(useless.Packed(), 0) < 1 {
+		m.w.AddSparse(eta, useful)
+		m.w.AddSparse(-eta, useless)
+		if m.UseBias {
+			m.bias += eta
+		}
+	}
+	m.shrink(eta)
+}
+
+// rate counts a gradient step and returns its learning rate
+// eta_t = 1/(lambda*t), capped at 1.
+func (m *OnlineSVM) rate() float64 {
 	m.t++
 	lambda := m.Reg.L2Coeff()
 	if lambda <= 0 {
@@ -106,32 +135,13 @@ func (m *OnlineSVM) Step(x vector.Sparse, y float64) {
 			lambda = 1
 		}
 	}
-	eta := 1 / (lambda * float64(m.t))
-	if eta > 1 {
-		eta = 1 // keep the first steps bounded
-	}
-
-	if y*m.w.CatchUp(x.Packed(), m.bias) < 1 { // hinge sub-gradient
-		m.w.AddSparse(eta*y, x)
-		if m.UseBias {
-			m.bias += eta * y
-		}
-	}
-
-	// Proximal elastic-net shrinkage. Each weight first decays
-	// multiplicatively (L2) and is then soft-thresholded (L1); weights
-	// that cross zero leave the sparse model's support when they pay.
-	decay := 1 - eta*m.Reg.L2Coeff()
-	if decay < 0 {
-		decay = 0
-	}
-	m.w.Prox(decay, eta*m.Reg.L1Coeff())
+	return min(1/(lambda*float64(m.t)), 1) // keep the first steps bounded
 }
 
-// StepPair performs one stochastic pairwise descent update (RSVM-IE,
-// Section 3.1): a hinge step on w·(useful - useless) >= 1. The
-// difference is built in the model's own buffer, which Step only reads.
-func (m *OnlineSVM) StepPair(useful, useless vector.Sparse) {
-	m.diff = useful.SubInto(m.diff, useless)
-	m.Step(m.diff, 1)
+// shrink applies the proximal elastic-net step at learning rate eta.
+// Each weight first decays multiplicatively (L2) and is then
+// soft-thresholded (L1); weights that cross zero leave the sparse
+// model's support when they pay.
+func (m *OnlineSVM) shrink(eta float64) {
+	m.w.Prox(max(1-eta*m.Reg.L2Coeff(), 0), eta*m.Reg.L1Coeff())
 }

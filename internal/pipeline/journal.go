@@ -26,7 +26,7 @@ const journalLabel = "journal"
 // every journaled snapshot hashes weights produced under one version,
 // and a build under another cannot reproduce them. Bump it in the change
 // that replaces TestModelTrajectoryDigest's constants.
-const ModelArithmetic = 1
+const ModelArithmetic = 2
 
 // ErrResumeDiverged marks a resumed run whose replayed model state does
 // not match the journal's snapshot: the result would silently differ

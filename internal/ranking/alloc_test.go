@@ -94,8 +94,9 @@ func TestScoringAllocBudgets(t *testing.T) {
 		i++
 	})
 
-	// RSVM-IE's pair step builds useful − useless in the model's own
-	// buffer; warmed over every pair first, so the buffer already fits.
+	// RSVM-IE's pair step folds and adds each row in place, with no
+	// difference vector; warmed over every pair first, so the weight
+	// vector already spans their ids and no step has to grow it.
 	pair := learn.NewOnlineSVM(learn.ElasticNet{LambdaAll: 0.1, LambdaL2: 0.99}, false)
 	for k, d := range docs {
 		pair.StepPair(d, docs[(k+1)%len(docs)])

@@ -27,9 +27,12 @@ func instrumentRanker(t *testing.T, r obs.Instrumentable) {
 }
 
 // parityTolerance bounds |production - reference| per score. The
-// reference replicates the production arithmetic order, so in practice
-// the scores are bitwise equal; the tolerance only absorbs benign
-// compiler-level reassociation.
+// references apply the formulas' arithmetic eagerly, so production
+// agrees with them to rounding, not bitwise: its weights pay the
+// elastic-net step lazily, and RSVM-IE's pair step folds and adds the
+// pair's two rows one after the other where the reference steps on their
+// merged difference. The gap stays orders of magnitude under the
+// tolerance (TestRSVMIEMatchesReferenceOverLongStream logs it).
 const parityTolerance = 1e-9
 
 // parityCorpus builds the fixed corpus: 200 documents, seed 99, with the

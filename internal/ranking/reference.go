@@ -158,7 +158,7 @@ func (m *refModel) step(idx []int32, val []float64, y float64) {
 }
 
 // refDiff computes useful - useless as index-sorted pairs with exact-zero
-// differences dropped, mirroring vector.Sparse.Sub.
+// differences dropped: the difference vector the paper's pair step takes.
 func refDiff(pos, neg vector.Sparse) ([]int32, []float64) {
 	d := make(map[int32]float64)
 	pos.Range(func(i int32, v float64) { d[i] += v })

@@ -20,18 +20,6 @@ func TestRangeOrder(t *testing.T) {
 	}
 }
 
-func TestSubWithEmpty(t *testing.T) {
-	a := FromCounts(map[int32]float64{1: 2})
-	var zero Sparse
-	if !a.Sub(zero).Equal(a) {
-		t.Error("a - 0 must equal a")
-	}
-	neg := zero.Sub(a)
-	if neg.At(1) != -2 {
-		t.Error("0 - a must negate a")
-	}
-}
-
 func TestWeightsRangeVisitsAll(t *testing.T) {
 	w := NewWeights()
 	w.Set(1, 1)

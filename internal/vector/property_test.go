@@ -87,19 +87,6 @@ func TestPropertySparseInvariants(t *testing.T) {
 			t.Fatalf("trial %d: scaling by 0 must empty the vector", trial)
 		}
 
-		// Subtraction: (s-u)·x == s·x - u·x against a probe vector, and
-		// self-subtraction cancels to the empty vector.
-		x := randSparse(rng, 30, 64)
-		if got, want := s.Sub(u).Dot(x), s.Dot(x)-u.Dot(x); !approxEq(got, want) {
-			t.Fatalf("trial %d: sub linearity: %g != %g", trial, got, want)
-		}
-		if d := s.Sub(s); d.NNZ() != 0 {
-			t.Fatalf("trial %d: s - s = %v, want empty", trial, d)
-		}
-		if !s.Sub(Sparse{}).Equal(s) {
-			t.Fatalf("trial %d: s - 0 != s", trial)
-		}
-
 		// Normalization: unit norm for non-zero vectors, zero unchanged.
 		if s.NNZ() > 0 {
 			if n := s.Normalize().L2(); !approxEq(n, 1) {
@@ -362,17 +349,12 @@ func sortTruncate(fs []WeightedFeature, k int) []WeightedFeature {
 	return out[:min(k, len(out))]
 }
 
-// TestPropertySubIntoAndBinary pins the two buffer-owning constructors
-// to their allocating forms: SubInto over one reused buffer equals Sub,
-// and Binary equals FromCounts at count 1 followed by Normalize.
-func TestPropertySubIntoAndBinary(t *testing.T) {
+// TestPropertyBinary pins the buffer-owning constructor Binary to its
+// allocating form: FromCounts at count 1 followed by Normalize.
+func TestPropertyBinary(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	var buf Sparse
 	for trial := 0; trial < propertyTrials; trial++ {
-		s, u := randSparse(rng, 30, 64), randSparse(rng, 30, 64)
-		if buf = s.SubInto(buf, u); !buf.Equal(s.Sub(u)) {
-			t.Fatalf("trial %d: SubInto = %v, want %v", trial, buf, s.Sub(u))
-		}
+		s := randSparse(rng, 30, 64)
 		counts := make(map[int32]float64)
 		for _, i := range s.idx {
 			counts[i] = 1

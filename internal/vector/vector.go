@@ -185,49 +185,6 @@ func (s Sparse) Scale(a float64) Sparse {
 	return Sparse{idx: idx, val: val}
 }
 
-// Sub returns s - t as a new sparse vector.
-func (s Sparse) Sub(t Sparse) Sparse { return s.SubInto(Sparse{}, t) }
-
-// SubInto returns s - t written over dst's storage, which it grows when
-// too small. The result shares that storage, so a caller that reuses dst
-// must be done with the previous result first; s and t must not share
-// it.
-func (s Sparse) SubInto(dst, t Sparse) Sparse {
-	idx, val := dst.idx[:0], dst.val[:0]
-	if n := len(s.idx) + len(t.idx); cap(idx) < n || cap(val) < n {
-		idx, val = make([]int32, 0, n), make([]float64, 0, n)
-	}
-	i, j := 0, 0
-	for i < len(s.idx) && j < len(t.idx) {
-		switch {
-		case s.idx[i] < t.idx[j]:
-			idx = append(idx, s.idx[i])
-			val = append(val, s.val[i])
-			i++
-		case s.idx[i] > t.idx[j]:
-			idx = append(idx, t.idx[j])
-			val = append(val, -t.val[j])
-			j++
-		default:
-			if d := s.val[i] - t.val[j]; d != 0 {
-				idx = append(idx, s.idx[i])
-				val = append(val, d)
-			}
-			i++
-			j++
-		}
-	}
-	for ; i < len(s.idx); i++ {
-		idx = append(idx, s.idx[i])
-		val = append(val, s.val[i])
-	}
-	for ; j < len(t.idx); j++ {
-		idx = append(idx, t.idx[j])
-		val = append(val, -t.val[j])
-	}
-	return Sparse{idx: idx, val: val}
-}
-
 // Dot returns the inner product of two sparse vectors.
 func (s Sparse) Dot(t Sparse) float64 {
 	var sum float64
